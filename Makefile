@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test race live-race bench bench-smoke bench-compare sweep-smoke fuzz-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
+.PHONY: build fmt-check vet test race live-race bench bench-smoke bench-compare tibench tibench-compare tibench-smoke sweep-smoke fuzz-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,29 @@ bench-compare:
 	$(GO) test -bench='Construct|Fig8aSerial|Churn$$' -run '^$$' . > "$$out" || { cat "$$out"; exit 1; }; \
 	cat "$$out"; \
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -threshold $(BENCH_THRESHOLD) < "$$out"
+
+# tibench runs the system benchmark BENCHMARK.json declares (bench/): six
+# workloads end to end, one child process each, a set of three passes
+# written to TIBENCH_OUT. Measure the base commit and the change this
+# way (same seed, same -seconds), then judge them with tibench-compare,
+# which prints a same/worse/better/unresolved verdict per workload and
+# metric and fails on any "worse". bench/README.md documents the
+# workloads, the metrics and the where-the-time-goes ladder.
+TIBENCH_OUT ?= /tmp/tibench.json
+tibench:
+	$(GO) run ./bench -passes 3 -out $(TIBENCH_OUT)
+
+tibench-compare:
+	@test -n "$(BASE)" && test -n "$(HEAD)" || { echo "usage: make tibench-compare BASE=<base.json> HEAD=<head.json>"; exit 1; }
+	$(GO) run ./bench -compare $(BASE) $(HEAD)
+
+# tibench-smoke runs one short data-plane workload and gates on the exit
+# code alone, i.e. on the benchmark's output checks (every frame
+# delivered once, in order, nothing stale/duplicated/dropped, window
+# respected); two seconds of work on a shared runner says nothing about
+# timings.
+tibench-smoke:
+	$(GO) run ./bench -workload relay_small -seconds 2
 
 # profile captures CPU and heap profiles of the serial Fig. 8a sweep — the
 # calibrated hot path every overlay perf change should start from.
@@ -190,10 +213,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchChurn$$' -fuzztime 20s ./internal/overlay
 	$(GO) test -run '^$$' -fuzz '^FuzzSimEvents$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime 20s ./internal/rp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s ./internal/transport
 
 # cover prints per-package statement coverage for the internal tree; CI
 # publishes this into the workflow summary.
 cover:
 	$(GO) test -cover ./internal/...
 
-ci: build fmt-check vet race live-race lint-docs bench-smoke sweep-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke
+ci: build fmt-check vet race live-race lint-docs bench-smoke tibench-smoke sweep-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke

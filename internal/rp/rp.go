@@ -30,6 +30,17 @@
 // observed on loopback reproduce the wide-area behaviour the overlay was
 // optimized for.
 //
+// A frame is immutable wire bytes, created once: PublishTick seals each
+// captured frame in the buffer its payload was generated into, a
+// receiving node reads a frame into one buffer that the delivered
+// Frame.Payload aliases, and a relay hands that same slice to every
+// child's writer. Nothing on the frame path encodes, decodes or copies a
+// payload, and nothing on it takes the node-wide lock: per-stream state
+// sits in slots the routing snapshot resolves when it is built, and the
+// outgoing links are read from an atomically published map. Frames (and
+// their payloads) are therefore read-only once published or delivered;
+// stream.Frame.Clone is the way to get one that may be changed.
+//
 // All listening and dialing goes through a transport.Network: the
 // default TCP fabric preserves the loopback behaviour above, while a
 // WAN-emulating fabric (transport.VirtualNetwork) carries the edge
@@ -207,34 +218,87 @@ type ResubscribeResult struct {
 // node swaps the whole snapshot atomically on every update, so a frame is
 // always routed under exactly one epoch. The snapshot is the union of
 // every membership shard's directive; epochs holds the per-shard table
-// versions and epoch their maximum.
+// versions and epoch their maximum. streams holds one entry per stream
+// the site accepts or forwards — everything the frame path needs to know
+// about the stream, found with one read of this immutable map and no
+// lock.
 type routingTable struct {
-	epoch    uint64
-	epochs   []uint64
-	routes   *transport.Routes
-	forward  map[stream.ID][]int
-	accepted map[stream.ID]bool
+	epoch   uint64
+	epochs  []uint64
+	routes  *transport.Routes
+	streams map[stream.ID]streamRoute
 }
 
-func newRoutingTable(r *transport.Routes) *routingTable {
-	epochs := make([]uint64, r.Shard+1)
-	epochs[r.Shard] = r.Epoch
-	t := &routingTable{
-		epoch:    r.Epoch,
-		epochs:   epochs,
-		routes:   r,
-		forward:  make(map[stream.ID][]int, len(r.Forward)),
-		accepted: make(map[stream.ID]bool, len(r.Accepted)),
+// streamRoute is a routing table's directive for one stream. It is kept
+// to three words: a table swap copies every entry.
+type streamRoute struct {
+	accepted bool             // the site's displays receive the stream
+	forward  *transport.Route // the forwarding duty as the server sent it; nil for none
+	slot     *streamSlot      // the stream's receive-side state
+}
+
+// children lists the sites the stream is forwarded to.
+func (sr streamRoute) children() []int {
+	if sr.forward == nil {
+		return nil
 	}
-	for _, route := range r.Forward {
-		if len(route.Children) > 0 {
-			t.forward[route.Stream] = route.Children
+	return sr.forward.Children
+}
+
+// forwardDuty returns the route as a table entry's forwarding duty: nil
+// when it names no children (which is how a delta clears a duty).
+func forwardDuty(route *transport.Route) *transport.Route {
+	if len(route.Children) == 0 {
+		return nil
+	}
+	return route
+}
+
+// streamSlot is one stream's receive-side state: delivery statistics
+// (with the sequence watermark), the pending first-frame measurement and
+// the disruptions already measured. A slot is created once and outlives
+// every table swap; its own lock is all a frame takes, and only frames
+// of the same stream arriving on two connections ever contend for it.
+type streamSlot struct {
+	mu          sync.Mutex
+	stats       StreamStats
+	gaining     bool     // a newly accepted stream awaits its first frame
+	gain        gainMark // valid while gaining
+	disruptions []Disruption
+}
+
+// setGain starts the slot's first-frame measurement, or cancels it when
+// gaining is false.
+func (s *streamSlot) setGain(gaining bool, g gainMark) {
+	s.mu.Lock()
+	s.gaining, s.gain = gaining, g
+	s.mu.Unlock()
+}
+
+// slotLocked returns the slot of a stream, creating it on first sight
+// (n.mu held).
+func (n *Node) slotLocked(id stream.ID) *streamSlot {
+	s := n.slots[id]
+	if s == nil {
+		s = &streamSlot{}
+		n.slots[id] = s
+	}
+	return s
+}
+
+// resolve finishes a merged stream map for a new snapshot: entries that
+// neither accept nor forward are dropped, and every remaining one gets
+// its slot (n.mu held).
+func (n *Node) resolve(streams map[stream.ID]streamRoute) {
+	for id, sr := range streams {
+		switch {
+		case !sr.accepted && sr.forward == nil:
+			delete(streams, id)
+		case sr.slot == nil:
+			sr.slot = n.slotLocked(id)
+			streams[id] = sr
 		}
 	}
-	for _, id := range r.Accepted {
-		t.accepted[id] = true
-	}
-	return t
 }
 
 // shardEpoch returns the table version held for one shard (0 if the
@@ -244,6 +308,35 @@ func (t *routingTable) shardEpoch(k int) uint64 {
 		return t.epochs[k]
 	}
 	return 0
+}
+
+// routeLists derives the wire-form Forward and Accepted lists of a
+// resolved stream map.
+func routeLists(streams map[stream.ID]streamRoute) (forward []transport.Route, accepted []stream.ID) {
+	var nf, na int
+	for _, sr := range streams {
+		if sr.forward != nil {
+			nf++
+		}
+		if sr.accepted {
+			na++
+		}
+	}
+	if nf > 0 {
+		forward = make([]transport.Route, 0, nf)
+	}
+	if na > 0 {
+		accepted = make([]stream.ID, 0, na)
+	}
+	for id, sr := range streams {
+		if sr.forward != nil {
+			forward = append(forward, *sr.forward)
+		}
+		if sr.accepted {
+			accepted = append(accepted, id)
+		}
+	}
+	return forward, accepted
 }
 
 // gainMark tracks a newly accepted stream until its first delivery.
@@ -311,18 +404,22 @@ type Node struct {
 	backoff transport.Backoff
 	retry   *transport.RetryStats
 
+	// peers is the live outgoing links by site, published copy-on-write
+	// (writers hold mu) so the frame path reads it without a lock.
+	peers     atomic.Pointer[map[int]*peerLink]
+	published atomic.Int64
+
+	// mu guards the control-plane state below: table transitions, peer
+	// dial/reconnect state, the slot registry. The per-frame path takes
+	// it only for a frame of a stream its table snapshot does not know.
 	mu           sync.Mutex
 	dir          [][]string
 	desired      map[stream.ID]bool
-	peers        map[int]*peerLink
 	peerConn     map[int]*peerConnState
 	inbound      map[net.Conn]struct{}
-	stats        map[stream.ID]*StreamStats
-	pendingGain  map[stream.ID]gainMark
-	disruptions  []Disruption
+	slots        map[stream.ID]*streamSlot
 	inflight     map[uint64]*inflightReq
 	failovers    []FailoverEvent
-	published    int
 	staleUpdates int
 	admRejected  int // streams denied by the admission controller
 	firstErr     error
@@ -346,14 +443,18 @@ type peerConnState struct {
 // peerLink is an outgoing connection with WAN delay emulation.
 type peerLink struct {
 	conn  net.Conn
-	delay time.Duration
+	delay time.Duration // 0 on a WAN-emulating fabric: no delay queue
+	born  time.Time     // origin of timedFrame.due
 	queue chan timedFrame
 	err   error // write error; set by run before it returns
 }
 
+// timedFrame is one sealed frame message queued toward a peer. due is
+// when it may be written, as an offset from the link's birth; it is set
+// and read only on a link that emulates the edge delay itself.
 type timedFrame struct {
-	frame *stream.Frame
-	due   time.Time
+	msg []byte
+	due time.Duration
 }
 
 // New creates an RP node; Start must be called before use.
@@ -392,19 +493,17 @@ func New(cfg Config) (*Node, error) {
 		retry = &transport.RetryStats{}
 	}
 	n := &Node{
-		cfg:         cfg,
-		rig:         rig,
-		ready:       make(chan struct{}),
-		backoff:     backoff,
-		retry:       retry,
-		desired:     desired,
-		peers:       make(map[int]*peerLink),
-		peerConn:    make(map[int]*peerConnState),
-		inbound:     make(map[net.Conn]struct{}),
-		stats:       make(map[stream.ID]*StreamStats),
-		pendingGain: make(map[stream.ID]gainMark),
-		inflight:    make(map[uint64]*inflightReq),
-		deliveries:  make(chan Delivery, cfg.DeliveryBuffer),
+		cfg:        cfg,
+		rig:        rig,
+		ready:      make(chan struct{}),
+		backoff:    backoff,
+		retry:      retry,
+		desired:    desired,
+		peerConn:   make(map[int]*peerConnState),
+		inbound:    make(map[net.Conn]struct{}),
+		slots:      make(map[stream.ID]*streamSlot),
+		inflight:   make(map[uint64]*inflightReq),
+		deliveries: make(chan Delivery, cfg.DeliveryBuffer),
 	}
 	n.resubID.Store(cfg.ResubFloor)
 	return n, nil
@@ -429,6 +528,22 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	n.ln = ln
 	n.ctx, n.cancel = context.WithCancel(ctx)
+
+	// The control links exist (unconnected) before the teardown watcher
+	// does: it sweeps n.ctrls, possibly while registration is still
+	// filling the connections in.
+	dir := n.cfg.Directory
+	if len(dir) == 0 {
+		dir = [][]string{{n.cfg.Membership}}
+	}
+	n.mu.Lock()
+	n.dir = dir
+	n.mu.Unlock()
+	n.shards = len(dir)
+	n.ctrls = make([]*ctrlLink, n.shards)
+	for k := range n.ctrls {
+		n.ctrls[k] = &ctrlLink{shard: k}
+	}
 
 	// An ungraceful disconnect (session context cancelled without a
 	// graceful Close — a crash, from the fabric's point of view) must
@@ -460,15 +575,6 @@ func (n *Node) Start(ctx context.Context) error {
 	n.wg.Add(1)
 	go n.acceptLoop()
 
-	dir := n.cfg.Directory
-	if len(dir) == 0 {
-		dir = [][]string{{n.cfg.Membership}}
-	}
-	n.mu.Lock()
-	n.dir = dir
-	n.mu.Unlock()
-	n.shards = len(dir)
-	n.ctrls = make([]*ctrlLink, n.shards)
 	routes := make([]*transport.Routes, n.shards)
 	for k := range dir {
 		conn, r, err := n.registerBoot(ctx, k, dir[k])
@@ -478,7 +584,7 @@ func (n *Node) Start(ctx context.Context) error {
 		}
 		// Control links must be usable before the ready gate opens:
 		// Resubscribe treats ready as "the control plane is writable".
-		n.ctrls[k] = &ctrlLink{shard: k, conn: conn}
+		n.ctrls[k].set(conn)
 		routes[k] = r
 	}
 	n.installShardRoutes(routes)
@@ -632,19 +738,13 @@ func (n *Node) Epoch() uint64 {
 	return 0
 }
 
-func (n *Node) installRoutes(r *transport.Routes) {
-	if r.Epoch == 0 {
-		r.Epoch = 1
-	}
-	n.tbl.Store(newRoutingTable(r))
-	n.readyOnce.Do(func() { close(n.ready) })
-}
-
 // installShardRoutes merges the initial per-shard tables into one
 // snapshot and opens the ready gate. The shard directives are disjoint
 // by stream ownership, so the merge is a plain union; the replicated
 // session directory carried in any table replaces the configured one.
 func (n *Node) installShardRoutes(routes []*transport.Routes) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	epochs := make([]uint64, len(routes))
 	merged := &transport.Routes{Site: n.cfg.Site}
 	for k, r := range routes {
@@ -665,14 +765,20 @@ func (n *Node) installShardRoutes(routes []*transport.Routes) {
 		merged.Accepted = append(merged.Accepted, r.Accepted...)
 		merged.Rejected = append(merged.Rejected, r.Rejected...)
 		if len(r.Directory) == len(routes) {
-			n.mu.Lock()
 			n.dir = r.Directory
-			n.mu.Unlock()
 		}
 	}
-	t := newRoutingTable(merged)
-	t.epochs = epochs
-	n.tbl.Store(t)
+	streams := make(map[stream.ID]streamRoute, len(merged.Forward)+len(merged.Accepted))
+	for i := range merged.Forward {
+		streams[merged.Forward[i].Stream] = streamRoute{forward: forwardDuty(&merged.Forward[i])}
+	}
+	for _, id := range merged.Accepted {
+		sr := streams[id]
+		sr.accepted = true
+		streams[id] = sr
+	}
+	n.resolve(streams)
+	n.tbl.Store(&routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, streams: streams})
 	n.readyOnce.Do(func() { close(n.ready) })
 }
 
@@ -853,7 +959,7 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 			// drop any stale link and revive a dead-marked peer so the
 			// next frame redials the new address.
 			if old, ok := r.Peers[k]; ok && old != v {
-				if link := n.peers[k]; link != nil {
+				if link := n.peerLinks()[k]; link != nil {
 					link.conn.Close()
 				}
 				if st := n.peerConn[k]; st != nil {
@@ -873,36 +979,30 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 		}
 	}
 
-	// Merge into fresh lookup maps, then build the snapshot directly from
-	// them — the Routes slices are derived once for the stored copy.
-	forward := make(map[stream.ID][]int, len(cur.forward))
-	for id, ch := range cur.forward {
-		forward[id] = ch
+	// Merge into a fresh lookup map, then build the snapshot directly
+	// from it — the Routes slices are derived once for the stored copy.
+	streams := make(map[stream.ID]streamRoute, len(cur.streams))
+	for id, sr := range cur.streams {
+		streams[id] = sr
 	}
-	for _, route := range u.SetForward {
-		if len(route.Children) == 0 {
-			delete(forward, route.Stream)
-		} else {
-			forward[route.Stream] = route.Children
-		}
-	}
-	for id, ch := range forward {
-		r.Forward = append(r.Forward, transport.Route{Stream: id, Children: ch})
-	}
-
-	accepted := make(map[stream.ID]bool, len(cur.accepted))
-	for id := range cur.accepted {
-		accepted[id] = true
+	for i := range u.SetForward {
+		route := &u.SetForward[i]
+		sr := streams[route.Stream]
+		sr.forward = forwardDuty(route)
+		streams[route.Stream] = sr
 	}
 	for _, id := range u.AddAccepted {
-		accepted[id] = true
+		sr := streams[id]
+		sr.accepted = true
+		streams[id] = sr
 	}
 	for _, id := range u.DelAccepted {
-		delete(accepted, id)
+		sr := streams[id]
+		sr.accepted = false
+		streams[id] = sr
 	}
-	for id := range accepted {
-		r.Accepted = append(r.Accepted, id)
-	}
+	n.resolve(streams)
+	r.Forward, r.Accepted = routeLists(streams)
 
 	rejected := make(map[stream.ID]bool, len(cur.routes.Rejected))
 	for _, id := range cur.routes.Rejected {
@@ -928,19 +1028,22 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 	if u.Epoch > maxEpoch {
 		maxEpoch = u.Epoch
 	}
-	n.tbl.Store(&routingTable{epoch: maxEpoch, epochs: epochs, routes: r, forward: forward, accepted: accepted})
+	t := &routingTable{epoch: maxEpoch, epochs: epochs, routes: r, streams: streams}
 
 	// Track newly gained streams until their first delivered frame; a
-	// stream withdrawn before that settles as never-delivered.
+	// stream withdrawn before that settles as never-delivered. The marks
+	// go in before the table does, so the first frame routed under the
+	// new table already finds its mark.
 	now := time.Now()
 	for _, id := range u.AddAccepted {
-		if !cur.accepted[id] {
-			n.pendingGain[id] = gainMark{epoch: u.Epoch, at: now}
+		if !cur.streams[id].accepted {
+			n.slotLocked(id).setGain(true, gainMark{epoch: u.Epoch, at: now})
 		}
 	}
 	for _, id := range u.DelAccepted {
-		delete(n.pendingGain, id)
+		n.slotLocked(id).setGain(false, gainMark{})
 	}
+	n.tbl.Store(t)
 }
 
 // applySync replaces one shard's whole slice of the routing snapshot
@@ -980,35 +1083,24 @@ func (n *Node) applySync(r *transport.Routes) {
 		Peers:   cur.routes.Peers,
 		DelayMs: cur.routes.DelayMs,
 	}
-	forward := make(map[stream.ID][]int, len(cur.forward))
-	for id, ch := range cur.forward {
+	streams := make(map[stream.ID]streamRoute, len(cur.streams))
+	for id, sr := range cur.streams {
 		if !owned(id) {
-			forward[id] = ch
+			streams[id] = sr
 		}
 	}
-	for _, route := range r.Forward {
-		if len(route.Children) > 0 {
-			forward[route.Stream] = route.Children
-		}
-	}
-	for id, ch := range forward {
-		merged.Forward = append(merged.Forward, transport.Route{Stream: id, Children: ch})
-	}
-
-	accepted := make(map[stream.ID]bool, len(cur.accepted))
-	for id := range cur.accepted {
-		if !owned(id) {
-			accepted[id] = true
-		}
+	for i := range r.Forward {
+		streams[r.Forward[i].Stream] = streamRoute{forward: forwardDuty(&r.Forward[i])}
 	}
 	accSet := make(map[stream.ID]bool, len(r.Accepted))
 	for _, id := range r.Accepted {
 		accSet[id] = true
-		accepted[id] = true
+		sr := streams[id]
+		sr.accepted = true
+		streams[id] = sr
 	}
-	for id := range accepted {
-		merged.Accepted = append(merged.Accepted, id)
-	}
+	n.resolve(streams)
+	merged.Forward, merged.Accepted = routeLists(streams)
 
 	rejSet := make(map[stream.ID]bool, len(r.Rejected))
 	for _, id := range r.Rejected {
@@ -1030,22 +1122,23 @@ func (n *Node) applySync(r *transport.Routes) {
 	if r.Epoch > merged.Epoch {
 		merged.Epoch = r.Epoch
 	}
-	n.tbl.Store(&routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, forward: forward, accepted: accepted})
+	t := &routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, streams: streams}
 
 	// Gains and losses relative to the pre-sync slice drive the same
 	// disruption tracking a delta would: a stream the successor granted
 	// that the old table lacked starts a first-frame measurement.
 	now := time.Now()
 	for id := range accSet {
-		if !cur.accepted[id] {
-			n.pendingGain[id] = gainMark{epoch: r.Epoch, at: now}
+		if !cur.streams[id].accepted {
+			n.slotLocked(id).setGain(true, gainMark{epoch: r.Epoch, at: now})
 		}
 	}
-	for id := range cur.accepted {
-		if owned(id) && !accSet[id] {
-			delete(n.pendingGain, id)
+	for id, sr := range cur.streams {
+		if sr.accepted && owned(id) && !accSet[id] {
+			sr.slot.setGain(false, gainMark{})
 		}
 	}
+	n.tbl.Store(t)
 
 	// Settle in-flight resubscriptions toward this shard from the synced
 	// admission state. A gain in neither set was lost in the failover
@@ -1234,7 +1327,9 @@ func (n *Node) AdmissionRejections() int {
 
 // PublishTick captures one frame from every local camera and disseminates
 // them through the overlay. Frames are stamped with wall-clock capture
-// time so receivers can measure true end-to-end latency.
+// time so receivers can measure true end-to-end latency, then sealed
+// into their wire bytes in place: every child on every hop is sent those
+// same bytes.
 func (n *Node) PublishTick() error {
 	tbl := n.table()
 	if tbl == nil {
@@ -1243,28 +1338,53 @@ func (n *Node) PublishTick() error {
 	now := time.Now().UnixMilli()
 	for _, f := range n.rig.Tick() {
 		f.CaptureMs = now
-		if err := n.dispatch(f, tbl); err != nil {
-			return err
+		msg, err := transport.SealFrame(f)
+		if err != nil {
+			return fmt.Errorf("rp: site %d publish %v: %w", n.cfg.Site, f.Stream, err)
 		}
-		n.mu.Lock()
-		n.published++
-		n.mu.Unlock()
+		n.dispatch(tbl.streams[f.Stream].children(), msg, tbl)
+		n.published.Add(1)
 	}
 	return nil
 }
 
-// dispatch forwards a frame (local or received) to the overlay children
-// its stream has under the given table snapshot. A child whose link is
-// down (connector still backing off, or retry budget exhausted) simply
+// dispatch forwards a sealed frame message (local or received) to the
+// overlay children its stream has under the given table snapshot (the
+// snapshot is also where a missing link's address comes from); every
+// child's writer gets the same slice. A child whose link is down
+// (connector still backing off, or retry budget exhausted) simply
 // misses the frame — video semantics, the same as a queue overflow —
 // so one crashed peer never stalls the whole fan-out.
-func (n *Node) dispatch(f *stream.Frame, tbl *routingTable) error {
-	for _, child := range tbl.forward[f.Stream] {
+func (n *Node) dispatch(children []int, msg []byte, tbl *routingTable) {
+	for _, child := range children {
 		if link := n.peer(child, tbl); link != nil {
-			link.send(f)
+			link.send(msg)
 		}
 	}
+}
+
+// peerLinks returns the published link map; it must not be modified.
+func (n *Node) peerLinks() map[int]*peerLink {
+	if m := n.peers.Load(); m != nil {
+		return *m
+	}
 	return nil
+}
+
+// setPeerLocked publishes a copy of the link map with site's entry set,
+// or removed when link is nil (n.mu held).
+func (n *Node) setPeerLocked(site int, link *peerLink) {
+	old := n.peerLinks()
+	m := make(map[int]*peerLink, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	if link == nil {
+		delete(m, site)
+	} else {
+		m[site] = link
+	}
+	n.peers.Store(&m)
 }
 
 // peer returns the outgoing link to a site, dialing on first use. The
@@ -1275,10 +1395,14 @@ func (n *Node) dispatch(f *stream.Frame, tbl *routingTable) error {
 // reconnector (single-flight, shared backoff policy) and returns nil;
 // frames toward the site are dropped until it succeeds. A site whose
 // retry budget is exhausted is marked dead and surfaces through Err;
-// a routing update that moves the site's address revives it.
+// a routing update that moves the site's address revives it. A live link
+// is found in the published map without taking n.mu.
 func (n *Node) peer(site int, tbl *routingTable) *peerLink {
+	if link := n.peerLinks()[site]; link != nil {
+		return link
+	}
 	n.mu.Lock()
-	if link, ok := n.peers[site]; ok {
+	if link := n.peerLinks()[site]; link != nil {
 		n.mu.Unlock()
 		return link
 	}
@@ -1327,23 +1451,24 @@ func (n *Node) dialPeer(site int, tbl *routingTable) (*peerLink, error) {
 	link := &peerLink{
 		conn:  conn,
 		delay: delay,
+		born:  time.Now(),
 		queue: make(chan timedFrame, 1024),
 	}
 	n.mu.Lock()
-	if existing, ok := n.peers[site]; ok {
+	if existing := n.peerLinks()[site]; existing != nil {
 		n.mu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
-	n.peers[site] = link
+	n.setPeerLocked(site, link)
 	n.wg.Add(1)
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
 		link.run(n.ctx)
 		n.mu.Lock()
-		if n.peers[site] == link {
-			delete(n.peers, site)
+		if n.peerLinks()[site] == link {
+			n.setPeerLocked(site, nil)
 		}
 		st := n.peerConn[site]
 		if st == nil {
@@ -1428,34 +1553,50 @@ func (n *Node) recordErr(err error) {
 	n.mu.Unlock()
 }
 
-// send schedules the frame for delivery after the edge's WAN delay.
-// Frames are dropped (with no error) if the link queue overflows, matching
-// real video transport under congestion.
-func (l *peerLink) send(f *stream.Frame) {
+// send schedules a sealed frame message for delivery after the edge's
+// WAN delay. Frames are dropped (with no error) if the link queue
+// overflows, matching real video transport under congestion.
+func (l *peerLink) send(msg []byte) {
+	tf := timedFrame{msg: msg}
+	if l.delay > 0 {
+		tf.due = time.Since(l.born) + l.delay
+	}
 	select {
-	case l.queue <- timedFrame{frame: f, due: time.Now().Add(l.delay)}:
+	case l.queue <- tf:
 	default:
 	}
 }
 
 // run drains the delay queue in order; the constant per-edge delay keeps
-// the queue sorted by due time. A write failure is recorded in l.err
-// before run returns, so the spawning goroutine can surface it.
+// the queue sorted by due time. Each frame is one Write of the shared,
+// already sealed bytes. A write failure is recorded in l.err before run
+// returns, so the spawning goroutine can surface it.
 func (l *peerLink) run(ctx context.Context) {
 	defer l.conn.Close()
+	var timer *time.Timer // the link's one timer; nil until a frame has to wait
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case tf := <-l.queue:
-			if wait := time.Until(tf.due); wait > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
+			if l.delay > 0 {
+				if wait := tf.due - time.Since(l.born); wait > 0 {
+					// Reset is safe: every earlier wait either drained
+					// timer.C or ended run.
+					if timer == nil {
+						timer = time.NewTimer(wait)
+						defer timer.Stop()
+					} else {
+						timer.Reset(wait)
+					}
+					select {
+					case <-ctx.Done():
+						return
+					case <-timer.C:
+					}
 				}
 			}
-			if err := transport.WriteMessage(l.conn, &transport.Message{Type: transport.MsgFrame, Frame: tf.frame}); err != nil {
+			if err := transport.WriteSealed(l.conn, tf.msg); err != nil {
 				if ctx.Err() == nil {
 					l.err = err
 				}
@@ -1495,38 +1636,43 @@ func (n *Node) handlePeer(conn net.Conn) {
 	if err != nil || m.Type != transport.MsgPeerHello {
 		return
 	}
+	frames := transport.NewFrameReader(conn)
 	for {
-		m, err := transport.ReadMessage(conn)
+		f, msg, err := frames.Next()
 		if err != nil {
 			return
 		}
-		if m.Type != transport.MsgFrame {
-			continue
-		}
 		// The snapshot loaded here is the frame's routing epoch: accept,
 		// dedup, and forwarding decisions all read this one table.
-		n.receive(m.Frame, n.table())
+		n.receive(f, msg, n.table())
 	}
 }
 
-// receive delivers a frame locally and forwards it downstream. Stats,
-// dedup, and the delivery-queue drop decision happen in one locked
-// section so per-stream counters stay consistent under concurrency.
-func (n *Node) receive(f *stream.Frame, tbl *routingTable) {
+// receive delivers a frame locally and forwards msg, the sealed message
+// it arrived in, downstream. Stats, dedup, and the delivery-queue drop
+// decision happen in one section locked on the stream's slot, so the
+// per-stream counters stay consistent when two parents deliver the same
+// stream at once (a reroute); frames of different streams share nothing.
+func (n *Node) receive(f *stream.Frame, msg []byte, tbl *routingTable) {
 	if tbl == nil {
 		return
 	}
 	now := time.Now()
 	lat := float64(now.UnixMilli() - f.CaptureMs)
 
-	n.mu.Lock()
-	st, ok := n.stats[f.Stream]
-	if !ok {
-		st = &StreamStats{}
-		n.stats[f.Stream] = st
+	sr := tbl.streams[f.Stream]
+	slot := sr.slot
+	if slot == nil {
+		// Neither accepted nor forwarded under this table: a frame still
+		// in flight across an unsubscribe. Rare enough for the node lock.
+		n.mu.Lock()
+		slot = n.slotLocked(f.Stream)
+		n.mu.Unlock()
 	}
+	slot.mu.Lock()
+	st := &slot.stats
 	switch {
-	case !tbl.accepted[f.Stream]:
+	case !sr.accepted:
 		// The site does not (or no longer does) accept this stream: a
 		// relay-only duty, or a frame in flight across an unsubscribe.
 		st.Stale++
@@ -1543,34 +1689,55 @@ func (n *Node) receive(f *stream.Frame, tbl *routingTable) {
 		}
 		select {
 		case n.deliveries <- Delivery{Frame: f, ReceivedAt: now, LatencyMs: lat}:
-			if g, ok := n.pendingGain[f.Stream]; ok {
-				n.disruptions = append(n.disruptions, Disruption{
+			if g := slot.gain; slot.gaining {
+				slot.disruptions = append(slot.disruptions, Disruption{
 					Stream: f.Stream, Epoch: g.epoch,
 					Applied: g.at, FirstFrame: now,
 					LatencyMs: float64(now.Sub(g.at)) / float64(time.Millisecond),
 				})
-				delete(n.pendingGain, f.Stream)
+				slot.gaining = false
 			}
 		default:
 			st.Dropped++
 		}
 	}
-	n.mu.Unlock()
+	slot.mu.Unlock()
 
 	// Forward to overlay children (relay duty) under the same epoch.
-	_ = n.dispatch(f, tbl)
+	n.dispatch(sr.children(), msg, tbl)
 }
 
 // Deliveries exposes the local display feed.
 func (n *Node) Deliveries() <-chan Delivery { return n.deliveries }
 
-// Stats snapshots per-stream delivery statistics.
-func (n *Node) Stats() map[stream.ID]StreamStats {
+// slotList snapshots the slot registry in stream order.
+func (n *Node) slotList() ([]stream.ID, []*streamSlot) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[stream.ID]StreamStats, len(n.stats))
-	for id, st := range n.stats {
-		out[id] = *st
+	ids := make([]stream.ID, 0, len(n.slots))
+	for id := range n.slots {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+	slots := make([]*streamSlot, len(ids))
+	for i, id := range ids {
+		slots[i] = n.slots[id]
+	}
+	n.mu.Unlock()
+	return ids, slots
+}
+
+// Stats snapshots per-stream delivery statistics: one entry per stream
+// the node has received a frame of.
+func (n *Node) Stats() map[stream.ID]StreamStats {
+	ids, slots := n.slotList()
+	out := make(map[stream.ID]StreamStats, len(ids))
+	for i, s := range slots {
+		s.mu.Lock()
+		st := s.stats
+		s.mu.Unlock()
+		if st.Frames+st.Stale+st.Duplicates > 0 {
+			out[ids[i]] = st
+		}
 	}
 	return out
 }
@@ -1586,12 +1753,16 @@ func (n *Node) StaleUpdates() int {
 }
 
 // Disruptions snapshots the per-stream first-frame-after-change records
-// accumulated by mid-session routing updates.
+// accumulated by mid-session routing updates, grouped by stream and in
+// order of occurrence within a stream.
 func (n *Node) Disruptions() []Disruption {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Disruption, len(n.disruptions))
-	copy(out, n.disruptions)
+	_, slots := n.slotList()
+	var out []Disruption
+	for _, s := range slots {
+		s.mu.Lock()
+		out = append(out, s.disruptions...)
+		s.mu.Unlock()
+	}
 	return out
 }
 
@@ -1606,11 +1777,7 @@ func (n *Node) Failovers() []FailoverEvent {
 }
 
 // Published returns the number of locally captured frames dispatched.
-func (n *Node) Published() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.published
-}
+func (n *Node) Published() int { return int(n.published.Load()) }
 
 // Err returns the first asynchronous failure the node observed: a peer
 // link whose write failed (severed connection) or a control-plane
@@ -1641,7 +1808,7 @@ func (n *Node) teardown() {
 			}
 		}
 		n.mu.Lock()
-		for _, link := range n.peers {
+		for _, link := range n.peerLinks() {
 			link.conn.Close()
 		}
 		for conn := range n.inbound {

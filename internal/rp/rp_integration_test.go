@@ -38,10 +38,23 @@ func pollUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // until every RP has its routing table.
 func startSession(t *testing.T, cost [][]float64, bcost float64, subs [][]stream.ID, cameras int) (*membership.Server, []*Node, context.CancelFunc) {
 	t.Helper()
-	n := len(cost)
-	srv, err := membership.New(membership.Config{
-		N: n, Cost: cost, Bcost: bcost, Algorithm: overlay.RJ{}, Seed: 7,
-	})
+	return startSessionWith(t,
+		membership.Config{N: len(cost), Cost: cost, Bcost: bcost, Algorithm: overlay.RJ{}, Seed: 7},
+		func(i int, membershipAddr string) Config {
+			return Config{
+				Site: i, Membership: membershipAddr,
+				In: 50, Out: 50,
+				Cameras: cameras, Profile: testProfile(), Seed: int64(100 + i),
+				Subscriptions: subs[i],
+			}
+		})
+}
+
+// startSessionWith is startSession with the membership and node
+// configurations left to the caller (fabric, capacities, buffers).
+func startSessionWith(t *testing.T, mcfg membership.Config, nodeCfg func(site int, membershipAddr string) Config) (*membership.Server, []*Node, context.CancelFunc) {
+	t.Helper()
+	srv, err := membership.New(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +62,11 @@ func startSession(t *testing.T, cost [][]float64, bcost float64, subs [][]stream
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- srv.Serve(ctx) }()
 
-	nodes := make([]*Node, n)
+	nodes := make([]*Node, mcfg.N)
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		node, err := New(Config{
-			Site: i, Membership: srv.Addr(),
-			In: 50, Out: 50,
-			Cameras: cameras, Profile: testProfile(), Seed: int64(100 + i),
-			Subscriptions: subs[i],
-		})
+	errs := make(chan error, mcfg.N)
+	for i := range nodes {
+		node, err := New(nodeCfg(i, srv.Addr()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,13 +542,13 @@ func TestDeliveryQueueOverflowCountsDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := stream.ID{Site: 0, Index: 0}
-	node.installRoutes(&transport.Routes{Site: 1, Epoch: 1, Accepted: []stream.ID{src}})
+	node.installShardRoutes([]*transport.Routes{{Site: 1, Epoch: 1, Accepted: []stream.ID{src}}})
 	tbl := node.table()
 	const total = 10
 	for i := 0; i < total; i++ {
 		node.receive(&stream.Frame{
 			Stream: src, Seq: uint64(i), CaptureMs: time.Now().UnixMilli(), Payload: []byte{1},
-		}, tbl)
+		}, nil, tbl) // nothing forwards the stream, so no message bytes are needed
 	}
 	st := node.Stats()[src]
 	if st.Frames != total {
@@ -577,16 +585,16 @@ func TestStaleRoutesUpdateDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := stream.ID{Site: 0, Index: 0}
-	node.installRoutes(&transport.Routes{Site: 1, Epoch: 2})
+	node.installShardRoutes([]*transport.Routes{{Site: 1, Epoch: 2}})
 	node.applyUpdate(&transport.RoutesUpdate{Site: 1, Epoch: 2, AddAccepted: []stream.ID{src}})
 	if got := node.StaleUpdates(); got != 1 {
 		t.Errorf("StaleUpdates = %d, want 1", got)
 	}
-	if node.Epoch() != 2 || node.table().accepted[src] {
-		t.Errorf("stale update applied: epoch %d, accepted %v", node.Epoch(), node.table().accepted)
+	if node.Epoch() != 2 || node.table().streams[src].accepted {
+		t.Errorf("stale update applied: epoch %d, streams %v", node.Epoch(), node.table().streams)
 	}
 	node.applyUpdate(&transport.RoutesUpdate{Site: 1, Epoch: 3, AddAccepted: []stream.ID{src}})
-	if node.Epoch() != 3 || !node.table().accepted[src] {
+	if node.Epoch() != 3 || !node.table().streams[src].accepted {
 		t.Errorf("newer update not applied: epoch %d", node.Epoch())
 	}
 }

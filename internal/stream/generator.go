@@ -17,8 +17,6 @@ type Generator struct {
 	profile Profile
 	rng     *rand.Rand
 	seq     uint64
-	// scratch is reused across frames; Next copies out of it.
-	scratch []byte
 }
 
 // NewGenerator returns a generator for the given stream.
@@ -30,7 +28,6 @@ func NewGenerator(id ID, profile Profile, seed int64) (*Generator, error) {
 		id:      id,
 		profile: profile,
 		rng:     rand.New(rand.NewSource(seed ^ int64(id.Site)<<32 ^ int64(id.Index))),
-		scratch: make([]byte, profile.FrameBytes()),
 	}, nil
 }
 
@@ -43,23 +40,28 @@ func (g *Generator) Profile() Profile { return g.profile }
 // Next produces the next frame. CaptureMs is derived from the sequence
 // number and the profile frame rate, so frame k is captured at
 // k * frameInterval.
+//
+// The payload is written once, into a buffer with room in front for the
+// frame header and the framing prefix, so Seal can freeze the frame into
+// its wire form without copying it.
 func (g *Generator) Next() *Frame {
+	buf := make([]byte, payloadOffset+g.profile.FrameBytes())
+	payload := buf[payloadOffset:]
 	// Fill with a cheap deterministic pattern: a seeded xorshift over the
-	// scratch buffer. Using rng.Read would also work but costs more.
+	// payload. Using rng.Read would also work but costs more.
 	x := g.rng.Uint64()
-	for i := range g.scratch {
+	for i := range payload {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		g.scratch[i] = byte(x)
+		payload[i] = byte(x)
 	}
-	payload := make([]byte, len(g.scratch))
-	copy(payload, g.scratch)
 	f := &Frame{
 		Stream:    g.id,
 		Seq:       g.seq,
 		CaptureMs: int64(float64(g.seq) * g.profile.FrameIntervalMs()),
 		Payload:   payload,
+		room:      buf,
 	}
 	g.seq++
 	return f

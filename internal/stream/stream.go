@@ -98,14 +98,25 @@ func (p Profile) Validate() error {
 }
 
 // Frame is one encoded 3D video frame.
+//
+// A frame that has been published, or that came out of the data plane
+// (rp.Delivery), is read-only, Payload included: its bytes are the wire
+// bytes, shared by every connection the frame is relayed on. Clone it to
+// get a frame that may be changed.
 type Frame struct {
 	Stream    ID
 	Seq       uint64 // per-stream sequence number, starting at 0
 	CaptureMs int64  // capture timestamp, session-relative milliseconds
 	Payload   []byte // encoded macroblocks (synthetic)
+
+	// room is the buffer Payload sits at the end of when there is free
+	// space in front of it for the header and the framing prefix; Seal
+	// consumes it. nil for frames built by hand or decoded.
+	room []byte
 }
 
-// Clone returns a deep copy of the frame.
+// Clone returns a deep copy of the frame; the copy is private to the
+// caller and may be mutated.
 func (f *Frame) Clone() *Frame {
 	p := make([]byte, len(f.Payload))
 	copy(p, f.Payload)

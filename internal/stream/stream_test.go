@@ -264,43 +264,120 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
-func TestWriteReadFrameStream(t *testing.T) {
-	var buf bytes.Buffer
+// TestSealInPlace pins the zero-copy source path: a generated frame is
+// sealed into the buffer its payload was written into, and the sealed
+// bytes decode back to the same frame, aliasing that same buffer.
+func TestSealInPlace(t *testing.T) {
 	g, err := NewGenerator(ID{Site: 2, Index: 3}, DefaultProfile(), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sent []*Frame
-	for i := 0; i < 4; i++ {
-		f := g.Next()
-		sent = append(sent, f)
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range sent {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("frame %d mismatch", i)
-		}
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("read past end: err = %v, want EOF", err)
-	}
-}
-
-func TestReadFrameTruncated(t *testing.T) {
-	f := &Frame{Stream: ID{1, 2}, Payload: make([]byte, 100)}
-	b, err := Encode(f)
+	f := g.Next()
+	f.CaptureMs = 1234567 // stamped after generation, before sealing
+	want := append([]byte(nil), f.Payload...)
+	buf, err := f.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(b[:len(b)-10])
-	if _, err := ReadFrame(r); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
+	if len(buf) != Headroom+EncodedSize(f) {
+		t.Fatalf("sealed %d bytes, want %d", len(buf), Headroom+EncodedSize(f))
+	}
+	if &buf[payloadOffset] != &f.Payload[0] {
+		t.Error("Seal copied a generated payload")
+	}
+	enc, err := Encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[Headroom:], enc) {
+		t.Error("sealed bytes differ from Encode")
+	}
+	got, err := DecodeSealed(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stream != f.Stream || got.Seq != f.Seq || got.CaptureMs != 1234567 || !bytes.Equal(got.Payload, want) {
+		t.Errorf("sealed round trip mismatch: %v seq %d capture %d", got.Stream, got.Seq, got.CaptureMs)
+	}
+	if &got.Payload[0] != &buf[payloadOffset] {
+		t.Error("DecodeSealed copied the payload")
+	}
+
+	// The room is spent: sealing again must not rewrite bytes that may
+	// already be on a wire.
+	again, err := f.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] == &buf[0] {
+		t.Error("second Seal reused the published buffer")
+	}
+	if !bytes.Equal(again[Headroom:], buf[Headroom:]) {
+		t.Error("second Seal produced different bytes")
+	}
+}
+
+// TestSealCopiesForeignPayload checks the fallback: a frame built by
+// hand, or one whose Payload was swapped after generation, is sealed
+// into a fresh buffer.
+func TestSealCopiesForeignPayload(t *testing.T) {
+	hand := &Frame{Stream: ID{Site: 1, Index: 1}, Seq: 9, Payload: []byte("abc")}
+	buf, err := hand.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSealed(buf)
+	if err != nil || got.Seq != 9 || string(got.Payload) != "abc" {
+		t.Fatalf("hand-built frame: %+v, %v", got, err)
+	}
+
+	g, err := NewGenerator(ID{}, Profile{Width: 64, Height: 48, FPS: 15, CompressionRatio: 10}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := g.Next()
+	f.Payload = []byte("swapped")
+	buf, err = f.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeSealed(buf); err != nil || string(got.Payload) != "swapped" {
+		t.Fatalf("swapped payload: %+v, %v", got, err)
+	}
+	if _, err := (&Frame{Stream: ID{Site: 70000}}).Seal(); err == nil {
+		t.Error("unencodable frame sealed")
+	}
+}
+
+// TestDecodeSealedStrict covers what the copying Decode tolerates and a
+// relay must not: trailing bytes, a short buffer, a non-zero reserved
+// field.
+func TestDecodeSealedStrict(t *testing.T) {
+	buf, err := (&Frame{Stream: ID{Site: 1, Index: 2}, Payload: []byte("abcdef")}).Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSealed(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSealed(append(append([]byte(nil), buf...), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	if _, err := DecodeSealed(buf[:len(buf)-1]); err == nil {
+		t.Error("truncated payload accepted")
+	}
+	for cut := 0; cut < payloadOffset; cut++ {
+		if _, err := DecodeSealed(buf[:cut]); !errors.Is(err, io.ErrShortBuffer) {
+			t.Fatalf("DecodeSealed of %d bytes: err = %v, want ErrShortBuffer", cut, err)
+		}
+	}
+	bad := append([]byte(nil), buf...)
+	bad[Headroom+7] = 1
+	if _, err := DecodeSealed(bad); err == nil {
+		t.Error("non-zero reserved field accepted by DecodeSealed")
+	}
+	if _, _, err := Decode(bad[Headroom:]); err == nil {
+		t.Error("non-zero reserved field accepted by Decode")
 	}
 }
 

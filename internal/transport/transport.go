@@ -191,7 +191,23 @@ type Message struct {
 // ErrMessageTooLarge is returned when a length prefix exceeds MaxMessage.
 var ErrMessageTooLarge = errors.New("transport: message exceeds size bound")
 
-// WriteMessage encodes and writes one message.
+// prefixSize is the length of the message prefix: length uint32, type
+// uint8. A sealed frame's buffer starts with exactly this much room.
+const prefixSize = 5
+
+// A sealed frame buffer reserves stream.Headroom bytes for the prefix;
+// the index is out of range at compile time if the two ever disagree.
+var _ = [1]struct{}{}[stream.Headroom-prefixSize]
+
+// putPrefix writes the message prefix for a payload of n bytes.
+func putPrefix(b []byte, t MsgType, n int) {
+	binary.BigEndian.PutUint32(b, uint32(n+1))
+	b[4] = byte(t)
+}
+
+// WriteMessage encodes and writes one message. The message is neither
+// retained nor modified: a frame is copied into the written buffer
+// (SealFrame + WriteSealed is the path that does not copy).
 func WriteMessage(w io.Writer, m *Message) error {
 	var payload []byte
 	var err error
@@ -221,35 +237,111 @@ func WriteMessage(w io.Writer, m *Message) error {
 	if len(payload)+1 > MaxMessage {
 		return ErrMessageTooLarge
 	}
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = byte(m.Type)
-	if _, err := w.Write(append(hdr, payload...)); err != nil {
-		return err
+	msg := make([]byte, prefixSize, prefixSize+len(payload))
+	putPrefix(msg, m.Type, len(payload))
+	_, err = w.Write(append(msg, payload...))
+	return err
+}
+
+// SealFrame freezes f (stream.Frame.Seal) into one complete MsgFrame
+// message and returns its bytes. A generated frame is sealed where its
+// payload was written, so this copies nothing. The frame and the
+// returned bytes are immutable from here on: WriteSealed and every
+// relay downstream share them.
+func SealFrame(f *stream.Frame) ([]byte, error) {
+	msg, err := f.Seal()
+	if err != nil {
+		return nil, fmt.Errorf("transport: seal frame: %w", err)
 	}
-	return nil
+	putPrefix(msg, MsgFrame, len(msg)-prefixSize)
+	return msg, nil
+}
+
+// WriteSealed writes one sealed message — bytes from SealFrame or
+// FrameReader.Next, which nothing will ever modify — to w in a single
+// Write. On the virtual fabric the bytes are queued by reference, so the
+// only copy a hop makes is the reader's, into its own buffer.
+func WriteSealed(w io.Writer, msg []byte) error {
+	var err error
+	if c, ok := w.(*virtualConn); ok {
+		_, err = c.wr.enqueue(msg)
+	} else {
+		_, err = w.Write(msg)
+	}
+	return err
+}
+
+// readFull fills b from the inside of a message, where the stream
+// ending is never a clean EOF.
+func readFull(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readPrefix reads one message prefix into p (prefixSize bytes of
+// scratch) and returns the message's type and payload length. It is one
+// Read in the common case; the length is judged as soon as its four
+// bytes are in, before the type byte is waited for.
+func readPrefix(r io.Reader, p []byte) (MsgType, int, error) {
+	got, err := io.ReadAtLeast(r, p, 4)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := binary.BigEndian.Uint32(p)
+	if n < 1 {
+		return 0, 0, errors.New("transport: zero-length message")
+	}
+	if n > MaxMessage {
+		return 0, 0, ErrMessageTooLarge
+	}
+	if got < prefixSize {
+		if err := readFull(r, p[4:]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return MsgType(p[4]), int(n) - 1, nil
+}
+
+// readFrame reads the n payload bytes of a MsgFrame message whose prefix
+// is in p, into one fresh buffer holding the message exactly as it was
+// on the wire, and decodes it. The frame's Payload aliases that buffer.
+// The frame must fill the message exactly: the buffer is what a relay
+// forwards, so bytes the decoder did not account for are rejected here.
+func readFrame(r io.Reader, p []byte, n int) (*stream.Frame, []byte, error) {
+	msg := make([]byte, prefixSize+n)
+	copy(msg, p)
+	if err := readFull(r, msg[prefixSize:]); err != nil {
+		return nil, nil, err
+	}
+	f, err := stream.DecodeSealed(msg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: decode frame: %w", err)
+	}
+	return f, msg, nil
 }
 
 // ReadMessage reads and decodes one message.
 func ReadMessage(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var prefix [prefixSize]byte
+	t, n, err := readPrefix(r, prefix[:])
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < 1 {
-		return nil, errors.New("transport: zero-length message")
+	m := &Message{Type: t}
+	if t == MsgFrame {
+		if m.Frame, _, err = readFrame(r, prefix[:], n); err != nil {
+			return nil, err
+		}
+		return m, nil
 	}
-	if n > MaxMessage {
-		return nil, ErrMessageTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	payload := make([]byte, n)
+	if err := readFull(r, payload); err != nil {
 		return nil, err
 	}
-	m := &Message{Type: MsgType(body[0])}
-	payload := body[1:]
-	switch m.Type {
+	switch t {
 	case MsgHello:
 		m.Hello = &Hello{}
 		return m, unmarshal(payload, m.Hello)
@@ -271,15 +363,38 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	case MsgError:
 		m.Error = &ProtocolError{}
 		return m, unmarshal(payload, m.Error)
-	case MsgFrame:
-		f, _, err := stream.Decode(payload)
-		if err != nil {
-			return nil, fmt.Errorf("transport: decode frame: %w", err)
-		}
-		m.Frame = f
-		return m, nil
 	default:
-		return nil, fmt.Errorf("transport: unknown message type %d", m.Type)
+		return nil, fmt.Errorf("transport: unknown message type %d", t)
+	}
+}
+
+// FrameReader reads the frames of one data connection: the RP's receive
+// path, where a relay needs the message bytes as well as the decoded
+// frame and where a per-message Message would be garbage.
+type FrameReader struct {
+	r      io.Reader
+	prefix [prefixSize]byte
+}
+
+// NewFrameReader returns a reader of the frames arriving on r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next returns the next frame and the sealed message it arrived in, read
+// into one fresh buffer that the frame's Payload aliases. Both are
+// immutable: the message is what WriteSealed forwards to every child.
+// Messages of other types are skipped.
+func (fr *FrameReader) Next() (*stream.Frame, []byte, error) {
+	for {
+		t, n, err := readPrefix(fr.r, fr.prefix[:])
+		if err != nil {
+			return nil, nil, err
+		}
+		if t == MsgFrame {
+			return readFrame(fr.r, fr.prefix[:], n)
+		}
+		if _, err := io.CopyN(io.Discard, fr.r, int64(n)); err != nil {
+			return nil, nil, err
+		}
 	}
 }
 

@@ -514,10 +514,15 @@ type halfPipe struct {
 	key      linkKey
 	rng      prng // jitter/loss draws; guarded by mu
 
-	mu         sync.Mutex
-	cond       *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// segs[head:] are the queued chunks. Slots before head are zeroed as
+	// they are consumed, so a drained chunk is garbage the moment it has
+	// been read, and the slice is compacted instead of creeping forward
+	// through ever larger backing arrays.
 	segs       []segment
-	rdPos      int // read offset into segs[0].data
+	head       int
+	rdPos      int // read offset into segs[head].data
 	lastDepart time.Time
 	lastDue    time.Time
 	closed     bool
@@ -551,8 +556,19 @@ func (p *prng) float64() float64 {
 	return float64(x*0x2545F4914F6CDD1D>>11) / (1 << 53)
 }
 
-// write queues a chunk with its emulated arrival time.
+// write queues a copy of b: the caller may reuse b as soon as write
+// returns, as with any net.Conn.
 func (p *halfPipe) write(b []byte) (int, error) {
+	data := make([]byte, len(b))
+	copy(data, b)
+	return p.enqueue(data)
+}
+
+// enqueue queues b itself, with its emulated arrival time. The caller
+// promises b is never modified again (sealed frame bytes; see
+// WriteSealed): the pipe holds the slice until the reader has copied it
+// out, which is the one copy a hop makes.
+func (p *halfPipe) enqueue(b []byte) (int, error) {
 	prof := p.net.profileFor(p.from, p.to)
 	now := time.Now()
 
@@ -587,12 +603,20 @@ func (p *halfPipe) write(b []byte) (int, error) {
 	}
 	p.lastDue = due
 
-	data := make([]byte, len(b))
-	copy(data, b)
-	p.segs = append(p.segs, segment{due: due, data: data})
+	if p.head > 0 && len(p.segs) == cap(p.segs) && p.head >= len(p.segs)-p.head {
+		// Out of room with at least half the slice already consumed:
+		// slide the live chunks down rather than grow.
+		n := copy(p.segs, p.segs[p.head:])
+		clear(p.segs[n:])
+		p.segs, p.head = p.segs[:n], 0
+	}
+	p.segs = append(p.segs, segment{due: due, data: b})
 	p.cond.Signal()
 	return len(b), nil
 }
+
+// queued reports how many chunks wait to be read (mu held).
+func (p *halfPipe) queued() int { return len(p.segs) - p.head }
 
 // read delivers queued bytes once due, honouring the read deadline and
 // the link's severed state.
@@ -603,8 +627,8 @@ func (p *halfPipe) read(b []byte) (int, error) {
 		if dl := p.deadline; !dl.IsZero() && !time.Now().Before(dl) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		if len(p.segs) > 0 && !p.net.linkDown(p.from, p.to) {
-			seg := &p.segs[0]
+		if p.queued() > 0 && !p.net.linkDown(p.from, p.to) {
+			seg := &p.segs[p.head]
 			if wait := time.Until(seg.due); wait > 0 {
 				p.timedWait(wait)
 				continue
@@ -612,13 +636,16 @@ func (p *halfPipe) read(b []byte) (int, error) {
 			n := copy(b, seg.data[p.rdPos:])
 			p.rdPos += n
 			if p.rdPos == len(seg.data) {
-				p.segs = p.segs[1:]
+				*seg = segment{}
 				p.rdPos = 0
+				if p.head++; p.head == len(p.segs) {
+					p.segs, p.head = p.segs[:0], 0
+				}
 			}
 			return n, nil
 		}
 		if p.closed {
-			if len(p.segs) > 0 {
+			if p.queued() > 0 {
 				// Data stalled on a severed link when the conn closed is
 				// undeliverable: surface a reset, not a clean EOF.
 				return 0, net.ErrClosed

@@ -583,3 +583,76 @@ func TestVirtualStormDegradesAllLinks(t *testing.T) {
 		t.Fatalf("post-clear latency = %v, want 10", got)
 	}
 }
+
+// TestHalfPipeReleasesDrainedChunks is the white-box check on the chunk
+// queue: a chunk is unreachable from the pipe the moment it has been
+// read (no slot of the backing array still points at it), and a steady
+// write/read rhythm — whether the queue empties between bursts or always
+// holds a backlog — reuses one backing array instead of growing it.
+func TestHalfPipeReleasesDrainedChunks(t *testing.T) {
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1})
+	dialer, acceptor := pair(t, v, "site-0", "site-1")
+	p := dialer.(*virtualConn).wr
+	chunk := make([]byte, 512)
+	buf := make([]byte, len(chunk))
+	write := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := dialer.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := io.ReadFull(acceptor, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	retained := func() (live, pinned int) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, seg := range p.segs[:cap(p.segs)] {
+			if seg.data != nil {
+				pinned++
+			}
+		}
+		return p.queued(), pinned
+	}
+
+	write(8)
+	read(3)
+	if live, pinned := retained(); live != 5 || pinned != 5 {
+		t.Fatalf("after reading 3 of 8 chunks: %d queued, %d pinned by the backing array; want 5 and 5", live, pinned)
+	}
+	read(5)
+	if live, pinned := retained(); live != 0 || pinned != 0 {
+		t.Fatalf("drained pipe: %d queued, %d chunks still pinned", live, pinned)
+	}
+
+	// Steady state with a standing backlog of 3: the queue never empties,
+	// so only compaction keeps the slice from creeping forward.
+	write(3)
+	for i := 0; i < 64; i++ {
+		write(1)
+		read(1)
+	}
+	p.mu.Lock()
+	settled := cap(p.segs)
+	p.mu.Unlock()
+	for i := 0; i < 4096; i++ {
+		write(1)
+		read(1)
+	}
+	p.mu.Lock()
+	grown := cap(p.segs)
+	p.mu.Unlock()
+	if grown != settled {
+		t.Errorf("chunk queue grew from cap %d to %d under a steady write/read rhythm", settled, grown)
+	}
+	if live, pinned := retained(); live != 3 || pinned != 3 {
+		t.Errorf("standing backlog: %d queued, %d pinned; want 3 and 3", live, pinned)
+	}
+}
