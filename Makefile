@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test race live-race bench bench-smoke bench-compare tibench tibench-compare tibench-smoke sweep-smoke fuzz-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
+.PHONY: build fmt-check vet test race live-race bench bench-smoke bench-compare tibench tibench-compare tibench-smoke sweep-smoke fuzz-smoke cluster-smoke tenant-smoke chaos-smoke batch-smoke lint-docs cover profile ci
 
 build:
 	$(GO) build ./...
@@ -120,21 +120,6 @@ cluster-smoke:
 	@test "$$(wc -l < /tmp/ticluster-smoke.jsonl)" -eq 1 || { echo "bad cluster JSONL record count"; exit 1; }
 	@echo "cluster-smoke OK"
 
-# failover-smoke is the control-plane chaos drill: a 100-node virtual
-# cluster with a 2-shard membership plane runs the failover scenario
-# under the race detector — one shard's primary is killed mid-flash-crowd
-# and every RP must recover through the standby. The run fails if the
-# worst per-event disruption is unbounded (-maxdisruption), and the
-# emitted records must carry the failover event.
-failover-smoke:
-	@jsonl="$$(mktemp /tmp/tele3d-failover.XXXXXX)"; trap 'rm -f "$$jsonl"' EXIT; \
-	$(GO) run -race ./cmd/ticluster -virtual -nodes 100 -shards 2 -scenario failover \
-		-cameras 2 -displays 1 -duration 1500ms -churnrate 4 -seed 7 \
-		-maxdisruption 2500 -jsonl "$$jsonl" || exit 1; \
-	grep -q '"failovers":1' "$$jsonl" || { echo "record missing failover event:"; cat "$$jsonl"; exit 1; }; \
-	grep -q '"shards":2' "$$jsonl" || { echo "record missing shard count:"; cat "$$jsonl"; exit 1; }; \
-	echo "failover-smoke OK"
-
 # tenant-smoke is the multi-tenant SLO drill: a 100-node fabric serves
 # four tenants (premium, standard, two best-effort) with the shared
 # per-PoP uplink pool capped low enough to overload, under the race
@@ -156,17 +141,20 @@ tenant-smoke:
 
 # chaos-smoke is the fault-injection drill: a 100-node virtual cluster
 # with a 2-shard membership plane absorbs a composed chaos schedule —
-# an RP crash whose rejoin lands inside a fabric-wide latency storm —
-# under the race detector. The emitted record must carry the resolved
-# schedule, the fault count and the retry total, proving the chaos
-# columns flow end to end.
+# an RP crash whose rejoin lands inside a fabric-wide latency storm,
+# then a restart of membership shard 1 once the fleet is whole — under
+# the race detector. The emitted record must carry the resolved
+# schedule, the fault count, the retry total and the shard failover,
+# proving the chaos columns flow end to end.
 chaos-smoke:
 	@jsonl="$$(mktemp /tmp/tele3d-chaos.XXXXXX)"; trap 'rm -f "$$jsonl"' EXIT; \
 	$(GO) run -race ./cmd/ticluster -virtual -nodes 100 -shards 2 -scenario chaos \
-		-chaos '300:rp-crash:rand;450:latency-storm:2:300;900:rp-rejoin:last' \
+		-chaos '300:rp-crash:rand;450:latency-storm:2:300;900:rp-rejoin:last;1100:membership-restart:1' \
 		-cameras 2 -displays 1 -duration 1500ms -churnrate 4 -seed 7 \
 		-jsonl "$$jsonl" || exit 1; \
-	grep -q '"chaos_events":3' "$$jsonl" || { echo "record missing chaos events:"; cat "$$jsonl"; exit 1; }; \
+	grep -q '"chaos_events":4' "$$jsonl" || { echo "record missing chaos events:"; cat "$$jsonl"; exit 1; }; \
+	grep -q '"failovers":1' "$$jsonl" || { echo "record missing the shard failover:"; cat "$$jsonl"; exit 1; }; \
+	grep -q '"shards":2' "$$jsonl" || { echo "record missing shard count:"; cat "$$jsonl"; exit 1; }; \
 	grep -q '"chaos_schedule":"300:rp-crash:' "$$jsonl" || { echo "record missing resolved schedule:"; cat "$$jsonl"; exit 1; }; \
 	grep -E -q '"chaos_recovery_ms":[0-9]*\.?[0-9]*[1-9]' "$$jsonl" || { echo "record missing chaos recovery:"; cat "$$jsonl"; exit 1; }; \
 	grep -E -q '"retries":[1-9]' "$$jsonl" || { echo "record missing retry total:"; cat "$$jsonl"; exit 1; }; \
@@ -220,4 +208,4 @@ fuzz-smoke:
 cover:
 	$(GO) test -cover ./internal/...
 
-ci: build fmt-check vet race live-race lint-docs bench-smoke tibench-smoke sweep-smoke cluster-smoke failover-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke
+ci: build fmt-check vet race live-race lint-docs bench-smoke tibench-smoke sweep-smoke cluster-smoke tenant-smoke chaos-smoke batch-smoke fuzz-smoke

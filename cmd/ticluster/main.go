@@ -173,9 +173,6 @@ func runVirtual(opt options, out, stdout io.Writer) error {
 
 	fmt.Fprintf(out, "  %d control events over the wire, final epoch %d\n",
 		res.Events, res.Live.FinalEpoch)
-	for _, imp := range res.Impairments {
-		fmt.Fprintf(out, "  impairment at %s\n", imp)
-	}
 	fmt.Fprintf(out, "  disruption latency: live mean %.1f ms max %.1f ms (%d/%d gains delivered)\n",
 		res.Live.MeanDisruptionMs, res.Live.MaxDisruptionMs,
 		res.Live.DeliveredGained, res.Live.DeliveredGained+res.Live.UndeliveredGained)

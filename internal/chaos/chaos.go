@@ -1,11 +1,13 @@
 // Package chaos is the seeded, deterministic fault-injection subsystem:
 // it parses declarative chaos schedules — timestamped sequences of RP
 // crash/rejoin, membership shard restart, fabric-wide latency storm,
-// loss burst and partition/heal events — resolves any randomized
-// targets from a seed, and drives the resolved schedule against a live
-// cluster through the Cluster interface (implemented by the session
-// layer over the transport.VirtualNetwork seams and the crash hooks on
-// rp.Node and membership.Server).
+// loss burst, partition/heal and per-site link degradation events —
+// resolves any randomized targets from a seed, and drives the resolved
+// schedule against a live cluster through the Cluster interface
+// (implemented by the session layer over the transport.VirtualNetwork
+// seams, rp.Node's crash hook and each membership server's context).
+// It is the only fault injector a live run has: the session layer's
+// named scenarios are presets that emit schedule text.
 //
 // # Schedule grammar
 //
@@ -19,8 +21,17 @@
 //	<atMs>:latency-storm:<mult>:<durMs>   multiply every link's latency
 //	<atMs>:loss-burst:<loss>:<durMs>      add loss to every link
 //	<atMs>:partition-heal:<durMs>         split the cluster, heal after dur
+//	<atMs>:link-degrade:<site>:<mult>:<loss>:<durMs>
+//	                                   multiply the latency of the site's
+//	                                   links to every other site and add
+//	                                   loss, restore after dur
 //
 // Example: "300:rp-crash:rand;900:rp-rejoin:last;1200:latency-storm:5:400".
+//
+// Windows that drive the same fabric state may not overlap: latency
+// storms and loss bursts share the fabric-wide storm, partitions share
+// the cut, and link-degrade windows of one site share its links. A
+// window may start exactly when the previous one ends.
 //
 // Randomized targets (rand/last) are pinned by Resolve, which is a pure
 // function of the schedule, the seed and the cluster shape — the same
@@ -45,9 +56,9 @@ const (
 	// RPRejoin boots a fresh RP for a crashed site; it resyncs through
 	// the normal registration path.
 	RPRejoin Kind = "rp-rejoin"
-	// MembershipRestart kills one membership shard's live server
-	// (membership.Server.Kill); every RP fails over to the next standby
-	// in the replicated directory.
+	// MembershipRestart kills one membership shard's live server (its
+	// Serve context is cancelled); every RP fails over to the next
+	// standby in the replicated directory.
 	MembershipRestart Kind = "membership-restart"
 	// LatencyStorm multiplies every fabric link's latency for a window.
 	LatencyStorm Kind = "latency-storm"
@@ -56,6 +67,9 @@ const (
 	// PartitionHeal severs the cluster at its median longitude for a
 	// window, then heals it.
 	PartitionHeal Kind = "partition-heal"
+	// LinkDegrade scales one site's links to every other site (latency
+	// multiplier, added loss) for a window, then restores them.
+	LinkDegrade Kind = "link-degrade"
 )
 
 // Targets a site argument can take before resolution.
@@ -74,15 +88,18 @@ type Event struct {
 	// Kind is the fault type.
 	Kind Kind
 	// Site targets rp-crash/rp-rejoin (TargetRandom/TargetLast before
-	// resolution).
+	// resolution) and link-degrade.
 	Site int
 	// Shard targets membership-restart.
 	Shard int
-	// Multiplier is latency-storm's fabric-wide latency factor.
+	// Multiplier is the latency factor of latency-storm (fabric-wide)
+	// and link-degrade (one site's links).
 	Multiplier float64
-	// Loss is loss-burst's added per-chunk loss probability.
+	// Loss is the added per-chunk loss probability of loss-burst and
+	// link-degrade.
 	Loss float64
-	// DurationMs bounds latency-storm, loss-burst and partition-heal.
+	// DurationMs bounds the windowed kinds: latency-storm, loss-burst,
+	// partition-heal and link-degrade.
 	DurationMs float64
 }
 
@@ -106,6 +123,9 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s:%s:%s:%s", at, e.Kind, trimFloat(e.Loss), trimFloat(e.DurationMs))
 	case PartitionHeal:
 		return fmt.Sprintf("%s:%s:%s", at, e.Kind, trimFloat(e.DurationMs))
+	case LinkDegrade:
+		return fmt.Sprintf("%s:%s:%d:%s:%s:%s", at, e.Kind, e.Site,
+			trimFloat(e.Multiplier), trimFloat(e.Loss), trimFloat(e.DurationMs))
 	}
 	return fmt.Sprintf("%s:%s", at, e.Kind)
 }
@@ -135,8 +155,9 @@ func (s Schedule) String() string {
 // ParseSchedule parses the schedule grammar (see the package comment).
 // Events are sorted by injection time (stable, so equal-time events keep
 // their written order) and validated: times must be non-negative,
-// durations positive, loss within [0, 1], and every rp-rejoin must be
-// preceded by an rp-crash it can pair with.
+// durations positive, loss within [0, 1], every rp-rejoin must be
+// preceded by an rp-crash it can pair with, and windows driving the same
+// fabric state must not overlap.
 func ParseSchedule(text string) (Schedule, error) {
 	var s Schedule
 	text = strings.TrimSpace(text)
@@ -186,6 +207,27 @@ func parseEvent(raw string) (Event, error) {
 		}
 		return f, nil
 	}
+	multiplier := func(i int) (float64, error) {
+		m, err := argN(i, "multiplier")
+		if err == nil && m <= 0 {
+			err = fmt.Errorf("chaos: event %q: multiplier must be positive", raw)
+		}
+		return m, err
+	}
+	loss := func(i int) (float64, error) {
+		l, err := argN(i, "loss")
+		if err == nil && (l < 0 || l > 1) {
+			err = fmt.Errorf("chaos: event %q: loss must be in [0, 1]", raw)
+		}
+		return l, err
+	}
+	site := func() (int, error) {
+		s, err := strconv.Atoi(args[0])
+		if err != nil || s < 0 {
+			return 0, fmt.Errorf("chaos: event %q: bad site %q", raw, args[0])
+		}
+		return s, nil
+	}
 	wantArgs := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("chaos: event %q: %s takes %d argument(s), got %d", raw, e.Kind, n, len(args))
@@ -206,11 +248,9 @@ func parseEvent(raw string) (Event, error) {
 			}
 			e.Site = TargetLast
 		default:
-			site, err := strconv.Atoi(args[0])
-			if err != nil || site < 0 {
-				return Event{}, fmt.Errorf("chaos: event %q: bad site %q", raw, args[0])
+			if e.Site, err = site(); err != nil {
+				return Event{}, err
 			}
-			e.Site = site
 		}
 	case MembershipRestart:
 		if err := wantArgs(1); err != nil {
@@ -225,11 +265,8 @@ func parseEvent(raw string) (Event, error) {
 		if err := wantArgs(2); err != nil {
 			return Event{}, err
 		}
-		if e.Multiplier, err = argN(0, "multiplier"); err != nil {
+		if e.Multiplier, err = multiplier(0); err != nil {
 			return Event{}, err
-		}
-		if e.Multiplier <= 0 {
-			return Event{}, fmt.Errorf("chaos: event %q: multiplier must be positive", raw)
 		}
 		if e.DurationMs, err = argN(1, "duration"); err != nil {
 			return Event{}, err
@@ -238,11 +275,8 @@ func parseEvent(raw string) (Event, error) {
 		if err := wantArgs(2); err != nil {
 			return Event{}, err
 		}
-		if e.Loss, err = argN(0, "loss"); err != nil {
+		if e.Loss, err = loss(0); err != nil {
 			return Event{}, err
-		}
-		if e.Loss < 0 || e.Loss > 1 {
-			return Event{}, fmt.Errorf("chaos: event %q: loss must be in [0, 1]", raw)
 		}
 		if e.DurationMs, err = argN(1, "duration"); err != nil {
 			return Event{}, err
@@ -254,23 +288,70 @@ func parseEvent(raw string) (Event, error) {
 		if e.DurationMs, err = argN(0, "duration"); err != nil {
 			return Event{}, err
 		}
+	case LinkDegrade:
+		if err := wantArgs(4); err != nil {
+			return Event{}, err
+		}
+		if e.Site, err = site(); err != nil {
+			return Event{}, err
+		}
+		if e.Multiplier, err = multiplier(1); err != nil {
+			return Event{}, err
+		}
+		if e.Loss, err = loss(2); err != nil {
+			return Event{}, err
+		}
+		if e.DurationMs, err = argN(3, "duration"); err != nil {
+			return Event{}, err
+		}
 	default:
 		return Event{}, fmt.Errorf("chaos: event %q: unknown kind %q", raw, fields[1])
 	}
-	switch e.Kind {
-	case LatencyStorm, LossBurst, PartitionHeal:
-		if e.DurationMs <= 0 {
-			return Event{}, fmt.Errorf("chaos: event %q: duration must be positive", raw)
-		}
+	if e.windowed() && e.DurationMs <= 0 {
+		return Event{}, fmt.Errorf("chaos: event %q: duration must be positive", raw)
 	}
 	return e, nil
+}
+
+// windowed reports whether the event holds a fault open for DurationMs
+// (applied at AtMs, cleared at AtMs+DurationMs).
+func (e Event) windowed() bool {
+	switch e.Kind {
+	case LatencyStorm, LossBurst, PartitionHeal, LinkDegrade:
+		return true
+	}
+	return false
+}
+
+// resource names the fabric state a windowed event drives; windows on
+// one resource must not overlap, since clearing either would clear
+// both.
+func (e Event) resource() string {
+	switch e.Kind {
+	case LatencyStorm, LossBurst:
+		return "the fabric-wide storm"
+	case PartitionHeal:
+		return "the partition cut"
+	}
+	return fmt.Sprintf("site %d's links", e.Site)
 }
 
 // validate checks cross-event constraints on a time-sorted schedule.
 func (s Schedule) validate() error {
 	crashed := make(map[int]bool)
 	sawCrash := false
+	// open holds, per resource, the latest window on it; the events are
+	// sorted by start and earlier windows were disjoint, so it also ends
+	// last.
+	open := make(map[string]Event)
 	for _, e := range s.Events {
+		if e.windowed() {
+			r := e.resource()
+			if prev, ok := open[r]; ok && e.AtMs < prev.AtMs+prev.DurationMs {
+				return fmt.Errorf("chaos: %s overlaps %s: both drive %s", e, prev, r)
+			}
+			open[r] = e
+		}
 		switch e.Kind {
 		case RPCrash:
 			if e.Site >= 0 {

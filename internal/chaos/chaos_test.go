@@ -2,13 +2,14 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-const composed = "300:rp-crash:5;600:membership-restart:1;900:rp-rejoin:5;1200:latency-storm:5:400;1800:loss-burst:0.1:300;2200:partition-heal:400"
+const composed = "300:rp-crash:5;600:membership-restart:1;900:rp-rejoin:5;1200:latency-storm:5:400;1800:loss-burst:0.1:300;2200:partition-heal:400;2300:link-degrade:4:5:0.02:250"
 
 // TestParseScheduleRoundTrip pins that String() output re-parses to the
 // same schedule, byte for byte.
@@ -17,8 +18,14 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Events) != 6 {
-		t.Fatalf("parsed %d events, want 6", len(s.Events))
+	if len(s.Events) != 7 {
+		t.Fatalf("parsed %d events, want 7", len(s.Events))
+	}
+	if got, want := s.Events[6], (Event{AtMs: 2300, Kind: LinkDegrade, Site: 4, Multiplier: 5, Loss: 0.02, DurationMs: 250}); got != want {
+		t.Fatalf("link-degrade parsed as %+v, want %+v", got, want)
+	}
+	if s.String() != composed {
+		t.Fatalf("String() = %q, want the input %q", s.String(), composed)
 	}
 	text := s.String()
 	s2, err := ParseSchedule(text)
@@ -61,6 +68,17 @@ func TestParseScheduleRejects(t *testing.T) {
 		"100:membership-restart:-1": "bad shard",
 		"100:rp-crash:notanint":     "bad site",
 		"100:latency-storm:2":       "takes 2 argument",
+		"100:link-degrade:1:5:0.02": "takes 4 argument",
+		"100:link-degrade:x:5:0:50": "bad site",
+		"100:link-degrade:1:0:0:50": "multiplier must be positive",
+		"100:link-degrade:1:5:2:50": "loss must be in [0, 1]",
+		"100:link-degrade:1:5:0:0":  "duration must be positive",
+		// Overlapping windows on one piece of fabric state: the first
+		// clear would end both.
+		"100:latency-storm:5:1000;200:loss-burst:0.1:100":        "200:loss-burst:0.1:100 overlaps 100:latency-storm:5:1000",
+		"100:latency-storm:5:300;200:latency-storm:2:300":        "overlaps 100:latency-storm:5:300",
+		"100:partition-heal:500;400:partition-heal:100":          "400:partition-heal:100 overlaps 100:partition-heal:500",
+		"100:link-degrade:3:5:0:200;250:link-degrade:3:2:0.1:50": "250:link-degrade:3:2:0.1:50 overlaps 100:link-degrade:3:5:0:200",
 	}
 	for text, wantErr := range cases {
 		_, err := ParseSchedule(text)
@@ -70,6 +88,21 @@ func TestParseScheduleRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("ParseSchedule(%q) error = %q, want containing %q", text, err, wantErr)
+		}
+	}
+}
+
+// TestParseScheduleAcceptsAdjacentWindows pins the overlap rule's
+// edges: a window may start exactly when the previous one on the same
+// state ends, and windows on different state may overlap freely.
+func TestParseScheduleAcceptsAdjacentWindows(t *testing.T) {
+	for _, text := range []string{
+		"100:latency-storm:5:100;200:loss-burst:0.1:100",
+		"100:partition-heal:50;150:partition-heal:50",
+		"100:latency-storm:5:500;200:partition-heal:500;300:link-degrade:1:5:0.02:500;300:link-degrade:2:5:0.02:500",
+	} {
+		if _, err := ParseSchedule(text); err != nil {
+			t.Errorf("ParseSchedule(%q): %v", text, err)
 		}
 	}
 }
@@ -168,17 +201,24 @@ func (f *fakeCluster) SetStorm(latencyMul, extraLoss float64) { f.record("storm-
 func (f *fakeCluster) ClearStorm()                            { f.record("storm-off") }
 func (f *fakeCluster) Partition()                             { f.record("partition") }
 func (f *fakeCluster) Heal()                                  { f.record("heal") }
+func (f *fakeCluster) DegradeLinks(site int, latencyMul, extraLoss float64) {
+	f.record(fmt.Sprintf("degrade-%d-x%g+%g", site, latencyMul, extraLoss))
+}
+func (f *fakeCluster) RestoreLinks(site int) { f.record(fmt.Sprintf("restore-%d", site)) }
 
 // TestRunExecutesInOrder drives a short schedule against a fake cluster
-// and checks op order, windowed clears, and recovery accounting.
+// and checks op order, windowed clears, and recovery accounting. The
+// second storm starts exactly when the first ends: the stable op sort
+// runs the clear first, so the new storm is not clobbered.
 func TestRunExecutesInOrder(t *testing.T) {
-	s, err := ParseSchedule("10:rp-crash:0;30:latency-storm:4:40;50:rp-rejoin:0;120:partition-heal:30")
+	s, err := ParseSchedule("10:rp-crash:0;30:latency-storm:4:40;50:rp-rejoin:0;70:loss-burst:0.1:20;120:partition-heal:30;130:link-degrade:2:5:0.02:10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fc fakeCluster
 	outcomes := Run(context.Background(), time.Now(), s, &fc)
-	want := []string{"crash", "storm-on", "rejoin", "storm-off", "partition", "heal"}
+	want := []string{"crash", "storm-on", "rejoin", "storm-off", "storm-on", "storm-off",
+		"partition", "degrade-2-x5+0.02", "restore-2", "heal"}
 	if len(fc.calls) != len(want) {
 		t.Fatalf("calls = %v, want %v", fc.calls, want)
 	}
@@ -187,8 +227,8 @@ func TestRunExecutesInOrder(t *testing.T) {
 			t.Fatalf("call %d = %s, want %s (all: %v)", i, fc.calls[i], want[i], fc.calls)
 		}
 	}
-	if len(outcomes) != 4 {
-		t.Fatalf("outcomes = %d, want 4", len(outcomes))
+	if len(outcomes) != 6 {
+		t.Fatalf("outcomes = %d, want 6", len(outcomes))
 	}
 	for _, o := range outcomes {
 		if o.Err != "" {
@@ -201,8 +241,14 @@ func TestRunExecutesInOrder(t *testing.T) {
 	if outcomes[2].RecoveryMs < 15 {
 		t.Fatalf("rejoin recovery = %vms, want >= the 20ms blocking resync", outcomes[2].RecoveryMs)
 	}
-	if outcomes[3].RecoveryMs != 30 {
-		t.Fatalf("partition window recovery = %v, want 30", outcomes[3].RecoveryMs)
+	if outcomes[3].RecoveryMs != 20 {
+		t.Fatalf("loss-burst window recovery = %v, want 20", outcomes[3].RecoveryMs)
+	}
+	if outcomes[4].RecoveryMs != 30 {
+		t.Fatalf("partition window recovery = %v, want 30", outcomes[4].RecoveryMs)
+	}
+	if outcomes[5].RecoveryMs != 10 {
+		t.Fatalf("link-degrade window recovery = %v, want 10", outcomes[5].RecoveryMs)
 	}
 	if MaxRecoveryMs(outcomes) != 40 {
 		t.Fatalf("MaxRecoveryMs = %v, want 40", MaxRecoveryMs(outcomes))

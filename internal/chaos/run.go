@@ -3,10 +3,10 @@ package chaos
 // run.go executes a resolved schedule against a live cluster. The
 // injector is a single goroutine walking a time-sorted op list, so
 // faults land in deterministic order; windowed events (storms, bursts,
-// partitions) expand into an apply op at AtMs and a clear op at
-// AtMs+DurationMs. Each op's outcome records how long the cluster took
-// to absorb it — the per-fault recovery accounting the record schema
-// surfaces.
+// partitions, link degradations) expand into an apply op at AtMs and a
+// clear op at AtMs+DurationMs. Each op's outcome records how long the
+// cluster took to absorb it — the per-fault recovery accounting the
+// record schema surfaces.
 
 import (
 	"context"
@@ -39,6 +39,12 @@ type Cluster interface {
 	Partition()
 	// Heal reconnects the partitioned cluster.
 	Heal()
+	// DegradeLinks scales the site's links to every other site from
+	// their static profiles (latency multiplier + added loss);
+	// RestoreLinks returns them to the static profiles.
+	DegradeLinks(site int, latencyMul, extraLoss float64)
+	// RestoreLinks removes the site's link degradation.
+	RestoreLinks(site int)
 }
 
 // Outcome records one executed fault: the event, when it fired relative
@@ -51,7 +57,7 @@ type Outcome struct {
 	FiredAtMs float64
 	// RecoveryMs is how long the cluster took to absorb the fault: the
 	// blocking duration of rejoin/restart ops, the window length for
-	// storms/bursts/partitions, ~0 for crashes (the damage is the
+	// windowed faults, ~0 for crashes (the damage is the
 	// point; recovery is accounted to the paired rejoin).
 	RecoveryMs float64
 	// Err is the injection error, if any ("" means none).
@@ -75,8 +81,7 @@ func Run(ctx context.Context, t0 time.Time, s Schedule, c Cluster) []Outcome {
 	ops := make([]op, 0, 2*len(s.Events))
 	for i, e := range s.Events {
 		ops = append(ops, op{atMs: e.AtMs, event: e, seq: i})
-		switch e.Kind {
-		case LatencyStorm, LossBurst, PartitionHeal:
+		if e.windowed() {
 			ops = append(ops, op{atMs: e.AtMs + e.DurationMs, event: e, clear: true, seq: i})
 		}
 	}
@@ -149,6 +154,12 @@ func apply(ctx context.Context, c Cluster, o op) error {
 			c.Heal()
 		} else {
 			c.Partition()
+		}
+	case LinkDegrade:
+		if o.clear {
+			c.RestoreLinks(e.Site)
+		} else {
+			c.DegradeLinks(e.Site, e.Multiplier, e.Loss)
 		}
 	default:
 		return fmt.Errorf("chaos: unknown kind %q", e.Kind)

@@ -161,11 +161,6 @@ type Server struct {
 	readyOnce sync.Once
 	errCh     chan error
 	wg        sync.WaitGroup
-
-	// kill is closed by Kill — the chaos crash hook — and tears the
-	// server down exactly like a context cancellation would.
-	kill     chan struct{}
-	killOnce sync.Once
 }
 
 type siteState struct {
@@ -226,18 +221,7 @@ func New(cfg Config) (*Server, error) {
 		pendingPeers: make(map[int]string),
 		ready:        make(chan struct{}),
 		errCh:        make(chan error, cfg.N+1),
-		kill:         make(chan struct{}),
 	}, nil
-}
-
-// Kill crashes the server ungracefully — the chaos subsystem's
-// membership crash hook: the listener and every control connection die
-// immediately, in-flight flushes are abandoned, and no state is handed
-// off. Recovery is the standby takeover path the failover design
-// already provides (RPs re-register with the next directory entry).
-// Idempotent; safe before or after Serve.
-func (s *Server) Kill() {
-	s.killOnce.Do(func() { close(s.kill) })
 }
 
 // Addr returns the server's dial address.
@@ -336,10 +320,7 @@ func (s *Server) Serve(ctx context.Context) error {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		select {
-		case <-ctx.Done():
-		case <-s.kill:
-		}
+		<-ctx.Done()
 		s.ln.Close()
 		s.connMu.Lock()
 		for conn := range s.conns {
@@ -356,8 +337,6 @@ func (s *Server) Serve(ctx context.Context) error {
 			for {
 				select {
 				case <-ctx.Done():
-					return
-				case <-s.kill:
 					return
 				case <-t.C:
 					s.Flush()
@@ -398,8 +377,6 @@ func (s *Server) Serve(ctx context.Context) error {
 	case err := <-s.errCh:
 		s.ln.Close()
 		return err
-	case <-s.kill:
-		return errors.New("membership: server killed")
 	case <-ctx.Done():
 		return ctx.Err()
 	}

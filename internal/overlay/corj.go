@@ -88,9 +88,6 @@ func (f *Forest) trySwap(r Request, u [][]int) bool {
 	var victimParent int
 	found := false
 	bestQ := qTarget
-	if debugSwapStats {
-		swapStats.attempts++
-	}
 	// The per-node tree index lists exactly the trees containing i, in
 	// the same ascending stream order the historical full-forest scan
 	// visited them in, so the "least critical victim" tie-breaks are
@@ -102,35 +99,20 @@ func (f *Forest) trySwap(r Request, u [][]int) bool {
 		}
 		q := Criticality(u, i, k)
 		if q >= bestQ { // condition (1), keeping the least critical victim
-			if debugSwapStats {
-				swapStats.failCrit++
-			}
 			continue
 		}
 		if !t.IsLeaf(i) { // condition (2)
-			if debugSwapStats {
-				swapStats.failLeaf++
-			}
 			continue
 		}
 		parent, ok := t.Parent(i)
 		if !ok || !targetTree.Contains(parent) { // condition (3)
-			if debugSwapStats {
-				swapStats.failParent++
-			}
 			continue
 		}
 		pCost, _ := targetTree.CostFromSource(parent)
 		if pCost+f.problem.Cost[parent][i] >= f.problem.Bcost { // condition (4)
-			if debugSwapStats {
-				swapStats.failCost++
-			}
 			continue
 		}
 		victim, victimParent, found, bestQ = t.Stream, parent, true, q
-	}
-	if debugSwapStats && found {
-		swapStats.success++
 	}
 	if !found {
 		return false
@@ -226,12 +208,4 @@ func (f *Forest) trySwapInbound(r Request, u [][]int) bool {
 		return true
 	}
 	return false
-}
-
-// swapStats instruments trySwap for calibration probes; not part of the
-// public API and only written under debugSwapStats.
-var debugSwapStats bool
-var swapStats struct {
-	attempts, success                        int
-	failCrit, failLeaf, failParent, failCost int
 }

@@ -85,12 +85,15 @@ func (ns *nodeSet) all() []*rp.Node {
 	return append(out, ns.retired...)
 }
 
-// takeover is one pre-booted standby in a shard's chaos chain together
-// with the channel its Serve outcome arrives on (Serve returns once
-// every RP has re-registered — the takeover itself).
-type takeover struct {
-	srv  *membership.Server
-	done chan error
+// memberServer is one membership server a live run booted — a shard
+// primary or a pre-booted standby in its takeover chain — served under
+// its own context: cancel crashes it, and done carries Serve's outcome
+// (nil once every RP has registered with it, which for a standby is the
+// takeover itself).
+type memberServer struct {
+	srv    *membership.Server
+	cancel context.CancelFunc
+	done   chan error
 }
 
 // chaosCluster implements chaos.Cluster for one live session.
@@ -104,14 +107,16 @@ type chaosCluster struct {
 	// cur[k] is shard k's live server; chains[k] the shard's remaining
 	// pre-booted standbys, consumed in order by RestartMembership.
 	srvMu  sync.Mutex
-	cur    []*membership.Server
-	chains [][]takeover
+	cur    []*memberServer
+	chains [][]*memberServer
 
 	// vnet is the virtual fabric (nil on TCP; fabric events are
 	// rejected up front in that case). west/east are the partition
-	// halves, precomputed from site geography.
+	// halves, precomputed from site geography; tenant scopes the site
+	// host names link-degrade addresses.
 	vnet       *transport.VirtualNetwork
 	west, east []string
+	tenant     int
 }
 
 // CrashRP tears the site's node down ungracefully: admission bookings
@@ -167,9 +172,11 @@ func (c *chaosCluster) RejoinRP(ctx context.Context, site int) error {
 	return nil
 }
 
-// RestartMembership kills the shard's live server and blocks until the
-// next chain standby has assembled the full cluster (its Serve
-// returns), i.e. every RP has swept the directory and re-registered.
+// RestartMembership crashes the shard's live server by cancelling its
+// context — the listener and every control connection die at once, no
+// state is handed off — and blocks until the next chain standby has
+// assembled the full cluster (its Serve returns), i.e. every RP has
+// swept the directory and re-registered.
 func (c *chaosCluster) RestartMembership(ctx context.Context, shard int) error {
 	c.srvMu.Lock()
 	if shard < 0 || shard >= len(c.cur) {
@@ -185,7 +192,7 @@ func (c *chaosCluster) RestartMembership(ctx context.Context, shard int) error {
 	c.chains[shard] = c.chains[shard][1:]
 	c.srvMu.Unlock()
 
-	victim.Kill()
+	victim.cancel()
 	select {
 	case err := <-next.done:
 		if err != nil {
@@ -195,7 +202,7 @@ func (c *chaosCluster) RestartMembership(ctx context.Context, shard int) error {
 		return ctx.Err()
 	}
 	c.srvMu.Lock()
-	c.cur[shard] = next.srv
+	c.cur[shard] = next
 	c.srvMu.Unlock()
 	return nil
 }
@@ -230,15 +237,43 @@ func (c *chaosCluster) Heal() {
 	}
 }
 
+// DegradeLinks overrides the site's link to every other site with its
+// static profile scaled: latency times latencyMul, loss plus extraLoss.
+func (c *chaosCluster) DegradeLinks(site int, latencyMul, extraLoss float64) {
+	c.forSiteLinks(site, func(a, b string) {
+		p := c.vnet.StaticLinkProfile(a, b)
+		p.LatencyMs *= latencyMul
+		p.Loss += extraLoss
+		c.vnet.SetLinkProfile(a, b, p)
+	})
+}
+
+// RestoreLinks drops the site's link overrides.
+func (c *chaosCluster) RestoreLinks(site int) {
+	c.forSiteLinks(site, func(a, b string) { c.vnet.ClearLinkProfile(a, b) })
+}
+
+// forSiteLinks calls fn with the host pair of the site and each other
+// site; a no-op off the virtual fabric.
+func (c *chaosCluster) forSiteLinks(site int, fn func(a, b string)) {
+	if c.vnet == nil {
+		return
+	}
+	a := transport.TenantSiteHost(c.tenant, site)
+	for j := range c.ns.nodes {
+		if j != site {
+			fn(a, transport.TenantSiteHost(c.tenant, j))
+		}
+	}
+}
+
 // validateChaos rejects schedules the session cannot execute: events
 // must be resolved (no symbolic targets), sites and shards in range,
-// fabric events require the virtual fabric, and membership restarts
-// cannot share a run with the failover scenario's single-standby
-// mechanism (the two would race for the same re-registration sweep).
-func validateChaos(s chaos.Schedule, n, shards int, virtual bool, failover *FailoverSpec) error {
+// and fabric events require the virtual fabric.
+func validateChaos(s chaos.Schedule, n, shards int, virtual bool) error {
 	for _, e := range s.Events {
 		switch e.Kind {
-		case chaos.RPCrash, chaos.RPRejoin:
+		case chaos.RPCrash, chaos.RPRejoin, chaos.LinkDegrade:
 			if e.Site < 0 || e.Site >= n {
 				return fmt.Errorf("session: chaos event %s: site out of range (resolve the schedule first)", e.String())
 			}
@@ -246,10 +281,9 @@ func validateChaos(s chaos.Schedule, n, shards int, virtual bool, failover *Fail
 			if e.Shard < 0 || e.Shard >= shards {
 				return fmt.Errorf("session: chaos event %s: shard out of range [0, %d)", e.String(), shards)
 			}
-			if failover != nil {
-				return fmt.Errorf("session: chaos membership-restart cannot be combined with a failover spec")
-			}
-		case chaos.LatencyStorm, chaos.LossBurst, chaos.PartitionHeal:
+		}
+		switch e.Kind {
+		case chaos.LatencyStorm, chaos.LossBurst, chaos.PartitionHeal, chaos.LinkDegrade:
 			if !virtual {
 				return fmt.Errorf("session: chaos event %s requires the virtual fabric", e.String())
 			}

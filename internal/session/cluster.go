@@ -9,15 +9,15 @@ package session
 // no kernel sockets, no ports, no file descriptors.
 //
 // A scenario (scenario.go) supplies the session's dynamics: a churn
-// trace replayed over the wire exactly as RunLive does, plus a schedule
-// of fabric impairments (partitions, slow links) applied to the virtual
-// network mid-run.
+// trace replayed over the wire exactly as RunLive does, plus a fault
+// schedule (partitions, slow links, membership restarts) the chaos
+// injector applies mid-run.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
+	"strings"
 
 	"github.com/tele3d/tele3d/internal/chaos"
 	"github.com/tele3d/tele3d/internal/sim"
@@ -94,10 +94,11 @@ type ClusterConfig struct {
 	FlushIntervalMs float64
 	// ChaosSchedule is the declarative fault schedule injected on the
 	// session clock (chaos.ParseSchedule grammar, e.g.
-	// "300:rp-crash:rand;900:rp-rejoin:last;1200:latency-storm:5:400").
-	// Symbolic targets are resolved deterministically from the session
-	// seed. Required by ScenarioChaos, allowed alongside any other
-	// scenario; "" injects nothing.
+	// "300:rp-crash:rand;900:rp-rejoin:last;1200:latency-storm:5:400"),
+	// on top of the scenario's own faults. Symbolic targets are resolved
+	// deterministically from the session seed. Required by
+	// ScenarioChaos, allowed alongside any other scenario; "" adds
+	// nothing.
 	ChaosSchedule string
 }
 
@@ -124,17 +125,17 @@ type ClusterResult struct {
 	Scenario string
 	Sites    int
 	// Events is the number of control events the scenario's trace
-	// applied over the wire; Impairments the fabric impairments applied.
-	Events      int
-	Impairments []string
+	// applied over the wire.
+	Events int
 	// ChaosSchedule is the fully resolved fault schedule the run
-	// injected, in the grammar's canonical rendering ("" when none):
-	// the same schedule string and seed always reproduce it byte for
-	// byte.
+	// injected — the scenario's faults joined with
+	// ClusterConfig.ChaosSchedule — in the grammar's canonical rendering
+	// ("" when none): the same schedule string and seed always
+	// reproduce it byte for byte.
 	ChaosSchedule string
 	// Live is the measured outcome; Sim the event-driven simulator's
 	// prediction for the same trace over the same forest. The simulator
-	// does not model fabric impairments, so under partition or slow-link
+	// does not model fabric faults, so under partition or slow-link
 	// scenarios Live-vs-Sim divergence is the measurement, not an error.
 	Live *LiveResult
 	Sim  *sim.EventResult
@@ -154,9 +155,9 @@ func (r *ClusterResult) DeliveredFraction() float64 {
 // membership+RP stack on a virtual fabric whose links carry the
 // backbone's latency matrix, and drives the named scenario: its churn
 // trace is applied mid-session over the wire (the RunLive path,
-// unchanged) while its impairment schedule mutates the fabric. The
-// returned result pairs the live measurement with the simulator's
-// prediction for the same trace.
+// unchanged) while its fault schedule, joined with the caller's, runs
+// through the chaos injector. The returned result pairs the live
+// measurement with the simulator's prediction for the same trace.
 func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Churn.Validate(); err != nil {
@@ -181,15 +182,16 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 		return nil, fmt.Errorf("session: scenario %s: %w", sc.Name, err)
 	}
 
-	// Resolve the chaos schedule before anything boots: parse errors and
+	// Resolve the scenario's and the caller's faults as one schedule
+	// before anything boots: parse errors, overlapping windows and
 	// impossible targets fail fast, and the resolution is deterministic
 	// in (schedule, seed, N, shards) so reruns inject identical faults.
 	var chaosSchedule chaos.Schedule
 	if cfg.Scenario == ScenarioChaos && cfg.ChaosSchedule == "" {
 		return nil, fmt.Errorf("session: scenario %s requires a chaos schedule", ScenarioChaos)
 	}
-	if cfg.ChaosSchedule != "" {
-		parsed, err := chaos.ParseSchedule(cfg.ChaosSchedule)
+	if text := strings.Trim(plan.Chaos+";"+cfg.ChaosSchedule, ";"); text != "" {
+		parsed, err := chaos.ParseSchedule(text)
 		if err != nil {
 			return nil, fmt.Errorf("session: chaos schedule: %w", err)
 		}
@@ -208,8 +210,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 		Links: transport.SiteLinks(s.Sites.Cost, cfg.Link),
 	})
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	liveCfg := LiveConfig{
 		Profile:         cfg.Profile,
 		DurationMs:      cfg.DurationMs,
@@ -219,30 +219,10 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 		Fabric:          fabric,
 		Shards:          cfg.Shards,
 		FlushIntervalMs: cfg.FlushIntervalMs,
-		Failover:        plan.Failover,
 		Chaos:           chaosSchedule,
-		// The impairment scheduler starts on the session clock: AtMs is
-		// relative to the first published frame, like the trace's times.
-		OnStart: func() {
-			if len(plan.Impairments) == 0 {
-				return
-			}
-			t0 := time.Now()
-			go func() {
-				for _, imp := range plan.Impairments {
-					due := t0.Add(time.Duration(imp.AtMs * float64(time.Millisecond)))
-					select {
-					case <-runCtx.Done():
-						return
-					case <-time.After(time.Until(due)):
-					}
-					imp.Apply(fabric)
-				}
-			}()
-		},
 	}
 
-	live, err := s.RunLive(runCtx, liveCfg, plan.Trace)
+	live, err := s.RunLive(ctx, liveCfg, plan.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -259,9 +239,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 	}
 	if len(chaosSchedule.Events) > 0 {
 		res.ChaosSchedule = chaosSchedule.String()
-	}
-	for _, imp := range plan.Impairments {
-		res.Impairments = append(res.Impairments, fmt.Sprintf("%.0fms: %s", imp.AtMs, imp.Note))
 	}
 	return res, nil
 }

@@ -32,8 +32,8 @@ func TestBuildClusterBeyondPoPCount(t *testing.T) {
 
 // TestRunClusterPartitionScenario runs a small partition-scenario
 // cluster end to end on the virtual fabric: the stack boots, the trace
-// applies over the wire, impairments fire, and the result carries both
-// planes.
+// applies over the wire, the partition cuts and heals, and the result
+// carries both planes.
 func TestRunClusterPartitionScenario(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -59,8 +59,14 @@ func TestRunClusterPartitionScenario(t *testing.T) {
 	if res.Events == 0 || len(res.Live.Events) != res.Events {
 		t.Fatalf("events: %d in trace, %d outcomes", res.Events, len(res.Live.Events))
 	}
-	if len(res.Impairments) != 2 {
-		t.Fatalf("impairments applied: %v", res.Impairments)
+	// The preset's partition window runs through the chaos injector and
+	// reports its length as the fault's recovery.
+	if want := "360:partition-heal:420"; res.ChaosSchedule != want {
+		t.Fatalf("chaos schedule %q, want %q", res.ChaosSchedule, want)
+	}
+	if res.Live.ChaosEvents != 1 || res.Live.ChaosRecoveryMs != 420 {
+		t.Fatalf("chaos: %d event(s), worst recovery %v ms; want 1 and the 420 ms window",
+			res.Live.ChaosEvents, res.Live.ChaosRecoveryMs)
 	}
 	if res.Sim == nil || len(res.Sim.Events) != res.Events {
 		t.Fatal("missing sim prediction")

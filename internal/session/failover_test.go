@@ -68,6 +68,55 @@ func TestRunClusterFailoverScenario(t *testing.T) {
 		t.Errorf("max disruption %.1f ms exceeds the %d ms failover bound",
 			res.Live.MaxDisruptionMs, failoverDisruptionBoundMs)
 	}
+	// The preset is a chaos membership restart of shard 1 at 0.3 of the
+	// session, so its takeover shows in the chaos accounting.
+	if want := "360:membership-restart:1"; res.ChaosSchedule != want {
+		t.Fatalf("chaos schedule %q, want %q", res.ChaosSchedule, want)
+	}
+	if res.Live.ChaosEvents != 1 || res.Live.ChaosRecoveryMs <= 0 {
+		t.Fatalf("chaos: %d event(s), worst recovery %v ms; want 1 takeover",
+			res.Live.ChaosEvents, res.Live.ChaosRecoveryMs)
+	}
+}
+
+// TestRunClusterFailoverComposesWithChaosRestart runs the failover
+// preset together with a caller-scheduled restart of the same shard:
+// the two restarts join one schedule, consume the shard's two-standby
+// chain in order, and the cluster recovers twice.
+func TestRunClusterFailoverComposesWithChaosRestart(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := RunCluster(ctx, ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{
+			N: 10, CamerasPerSite: 2, DisplaysPerSite: 1,
+			Algorithm: overlay.RJ{}, Seed: 23,
+		}},
+		Profile:         stream.Profile{Width: 32, Height: 24, FPS: 15, CompressionRatio: 8},
+		DurationMs:      1200,
+		Scenario:        ScenarioFailover,
+		Churn:           workload.ChurnProfile{RatePerSec: 4, ViewChangeMix: 0.7},
+		Shards:          2,
+		FlushIntervalMs: 5,
+		ChaosSchedule:   "900:membership-restart:1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "360:membership-restart:1;900:membership-restart:1"; res.ChaosSchedule != want {
+		t.Fatalf("chaos schedule %q, want %q", res.ChaosSchedule, want)
+	}
+	if res.Live.Failovers != 1 || res.Live.ChaosEvents != 2 {
+		t.Fatalf("failovers = %d over %d chaos event(s), want shard 1 restarted twice",
+			res.Live.Failovers, res.Live.ChaosEvents)
+	}
+	for _, o := range res.Live.Chaos {
+		if o.Err != "" || o.RecoveryMs <= 0 {
+			t.Errorf("restart at %.0f ms: recovery %.1f ms, err %q", o.Event.AtMs, o.RecoveryMs, o.Err)
+		}
+	}
+	if res.Live.TotalFrames == 0 {
+		t.Fatal("cluster delivered no frames through the restarts")
+	}
 }
 
 // TestShardedFailoverBoundedDisruption is the scale acceptance test for
@@ -80,7 +129,7 @@ func TestRunClusterFailoverScenario(t *testing.T) {
 // per-event disruption must stay under failoverDisruptionBoundMs.
 func TestShardedFailoverBoundedDisruption(t *testing.T) {
 	if raceEnabled {
-		t.Skip("1000-node cluster under the race detector: covered at 100 nodes by CI failover-smoke")
+		t.Skip("1000-node cluster under the race detector: covered at 10 nodes by TestRunClusterFailoverScenario and at 100 nodes by CI chaos-smoke")
 	}
 	if testing.Short() {
 		t.Skip("short mode")

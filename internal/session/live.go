@@ -63,11 +63,6 @@ type LiveConfig struct {
 	// DeliveryBuffer overrides each RP's local display queue bound;
 	// 0 means 8192.
 	DeliveryBuffer int
-	// OnStart, when non-nil, is called once the whole cluster is
-	// assembled (every RP holds its routing table), immediately before
-	// frame publishing begins. Scenario impairment schedulers hook here
-	// so their timers align with the session clock.
-	OnStart func()
 	// Shards is the number of membership servers the control plane is
 	// partitioned into (transport.StreamShard ownership); 0 or 1 boots
 	// the legacy single server.
@@ -76,11 +71,6 @@ type LiveConfig struct {
 	// distribution (one coalesced delta per site per interval); 0 means
 	// inline per-event distribution.
 	FlushIntervalMs float64
-	// Failover, when non-nil, schedules a control-plane crash: a standby
-	// server is booted for the shard and the primary is killed at AtMs on
-	// the session clock, forcing every RP through re-registration
-	// recovery.
-	Failover *FailoverSpec
 	// Tenant namespaces the session on a shared fabric: membership
 	// servers and RPs listen on tenant-scoped host names and shard
 	// ownership keys by (tenant, site). Tenant 0 (the default) keeps
@@ -99,21 +89,12 @@ type LiveConfig struct {
 	// Admission is set. nil charges every site to one unnamed uplink.
 	Uplinks []string
 	// Chaos, when non-empty, is the resolved fault schedule injected on
-	// the session clock (see internal/chaos): RP crashes and rejoins,
-	// membership restarts through pre-booted standby chains, fabric
-	// storms, loss bursts and partitions. The schedule must be resolved
-	// (no symbolic targets); fabric events require a virtual fabric, and
-	// membership restarts cannot be combined with Failover.
+	// the session clock (see internal/chaos) — the run's only source of
+	// faults: RP crashes and rejoins, membership restarts through
+	// pre-booted standby chains, fabric storms, loss bursts, partitions
+	// and per-site link degradation. The schedule must be resolved (no
+	// symbolic targets), and fabric events require a virtual fabric.
 	Chaos chaos.Schedule
-}
-
-// FailoverSpec schedules a mid-session membership crash for one shard.
-type FailoverSpec struct {
-	// Shard is the membership shard whose primary is killed.
-	Shard int
-	// AtMs is the kill time on the session clock (milliseconds after the
-	// first published frame, like trace event times).
-	AtMs float64
 }
 
 // LiveEventOutcome reports what one control event did over the wire and
@@ -159,7 +140,7 @@ type LiveResult struct {
 	// TotalStale counts frames that arrived for streams their site no
 	// longer accepted; TotalDuplicates second copies discarded across
 	// parent swaps; TotalDropped frames lost at full delivery queues.
-	// Impairment scenarios (partitions, slow links) move these numbers.
+	// Fabric faults (partitions, slow links) move these numbers.
 	TotalStale      int
 	TotalDuplicates int
 	TotalDropped    int
@@ -189,8 +170,8 @@ type LiveResult struct {
 	Retries int64
 	// Phases sums the per-phase maintenance timings — forest
 	// construction, batched churn application, route rebuilds — across
-	// every membership server the run booted (shards, failover standby,
-	// chaos takeover chains). Wall-clock observability, not part of any
+	// every membership server the run booted (shard primaries and their
+	// standby chains). Wall-clock observability, not part of any
 	// determinism contract.
 	Phases membership.PhaseStats
 }
@@ -269,13 +250,10 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	if shards < 1 {
 		shards = 1
 	}
-	if cfg.Failover != nil && (cfg.Failover.Shard < 0 || cfg.Failover.Shard >= shards) {
-		return nil, fmt.Errorf("session: failover shard %d out of range [0, %d)", cfg.Failover.Shard, shards)
-	}
 	vnet, _ := cfg.Fabric.(*transport.VirtualNetwork)
 	chaosActive := len(cfg.Chaos.Events) > 0
 	if chaosActive {
-		if err := validateChaos(cfg.Chaos, n, shards, vnet != nil, cfg.Failover); err != nil {
+		if err := validateChaos(cfg.Chaos, n, shards, vnet != nil); err != nil {
 			return nil, err
 		}
 	}
@@ -284,16 +262,18 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	// constructs the identical forest (same seed, same algorithm), but
 	// owns — applies diffs to, pushes deltas for — only its slice of the
 	// stream space, so the union of shard directives equals the
-	// single-server table. Each server gets its own context so a
-	// scheduled failover can kill exactly one.
-	srvs := make([]*membership.Server, shards)
-	srvCancels := make([]context.CancelFunc, shards)
+	// single-server table. Each scheduled membership restart consumes a
+	// pre-booted standby from its shard's chain: every chain server is
+	// listed in the shard's directory (in takeover order) and starts
+	// listening now, so a restart is purely the RPs' re-registration
+	// sweep finding the next live entry.
 	directory := make([][]string, shards)
-	for k := 0; k < shards; k++ {
+	var servers []*memberServer
+	boot := func(k int, host string) (*memberServer, error) {
 		srv, err := membership.New(membership.Config{
 			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
 			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         cfg.Fabric.Host(transport.TenantShardServerHost(cfg.Tenant, k)),
+			Network:         cfg.Fabric.Host(host),
 			Shards:          shards,
 			Shard:           k,
 			FlushIntervalMs: cfg.FlushIntervalMs,
@@ -302,76 +282,37 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 		if err != nil {
 			return nil, err
 		}
-		srvs[k] = srv
-		directory[k] = []string{srv.Addr()}
+		directory[k] = append(directory[k], srv.Addr())
+		sv := &memberServer{srv: srv, done: make(chan error, 1)}
+		servers = append(servers, sv)
+		return sv, nil
 	}
-	var standby *membership.Server
-	if cfg.Failover != nil {
+	primaries := make([]*memberServer, shards)
+	for k := range primaries {
 		var err error
-		standby, err = membership.New(membership.Config{
-			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
-			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         cfg.Fabric.Host(transport.TenantStandbyServerHost(cfg.Tenant, cfg.Failover.Shard)),
-			Shards:          shards,
-			Shard:           cfg.Failover.Shard,
-			FlushIntervalMs: cfg.FlushIntervalMs,
-			Tenant:          cfg.Tenant,
-		})
-		if err != nil {
+		if primaries[k], err = boot(k, transport.TenantShardServerHost(cfg.Tenant, k)); err != nil {
 			return nil, err
 		}
-		directory[cfg.Failover.Shard] = append(directory[cfg.Failover.Shard], standby.Addr())
 	}
-	// Chaos membership restarts consume a pre-booted standby chain per
-	// shard: every chain server is listed in the shard's directory (in
-	// takeover order) and starts listening now, so a restart is purely
-	// the RPs' re-registration sweep finding the next live entry.
-	var chains [][]takeover
-	if chaosActive {
-		chains = make([][]takeover, shards)
-		for k, cnt := range cfg.Chaos.RestartsPerShard(shards) {
-			for j := 0; j < cnt; j++ {
-				srv, err := membership.New(membership.Config{
-					N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
-					Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-					Network:         cfg.Fabric.Host(transport.TenantChaosStandbyHost(cfg.Tenant, k, j)),
-					Shards:          shards,
-					Shard:           k,
-					FlushIntervalMs: cfg.FlushIntervalMs,
-					Tenant:          cfg.Tenant,
-				})
-				if err != nil {
-					return nil, err
-				}
-				chains[k] = append(chains[k], takeover{srv: srv, done: make(chan error, 1)})
-				directory[k] = append(directory[k], srv.Addr())
+	chains := make([][]*memberServer, shards)
+	for k, cnt := range cfg.Chaos.RestartsPerShard(shards) {
+		for j := 0; j < cnt; j++ {
+			sv, err := boot(k, transport.TenantChaosStandbyHost(cfg.Tenant, k, j))
+			if err != nil {
+				return nil, err
 			}
+			chains[k] = append(chains[k], sv)
 		}
 	}
-	srvErrs := make([]chan error, shards)
-	for k := 0; k < shards; k++ {
-		srvs[k].SetDirectory(directory)
+	// Each server runs under its own context: cancelling it is the one
+	// way a server crashes. Serve returns once every RP has registered
+	// with the server — for a primary the assembled session, for a chain
+	// standby the takeover RestartMembership blocks on.
+	for _, sv := range servers {
+		sv.srv.SetDirectory(directory)
 		srvCtx, srvCancel := context.WithCancel(ctx)
-		srvCancels[k] = srvCancel
-		srvErrs[k] = make(chan error, 1)
-		srv := srvs[k]
-		ch := srvErrs[k]
-		go func() { ch <- srv.Serve(srvCtx) }()
-	}
-	if standby != nil {
-		standby.SetDirectory(directory)
-		// The standby assembles only after the RPs re-register; its Serve
-		// outcome is the failover itself, surfaced through the RPs.
-		go func() { _ = standby.Serve(ctx) }()
-	}
-	for k := range chains {
-		for _, to := range chains[k] {
-			to.srv.SetDirectory(directory)
-			to := to
-			// Serve returns once every RP has re-registered with this
-			// server — the takeover signal RestartMembership blocks on.
-			go func() { to.done <- to.srv.Serve(ctx) }()
-		}
+		sv.cancel = srvCancel
+		go func() { sv.done <- sv.srv.Serve(srvCtx) }()
 	}
 
 	// One retry counter is shared by every node the run ever boots
@@ -407,16 +348,8 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 		for _, node := range ns.all() {
 			node.Close()
 		}
-		for _, srv := range srvs {
-			srv.Wait()
-		}
-		if standby != nil {
-			standby.Wait()
-		}
-		for k := range chains {
-			for _, to := range chains[k] {
-				to.srv.Wait()
-			}
+		for _, sv := range servers {
+			sv.srv.Wait()
 		}
 	}()
 	startErrs := make(chan error, n)
@@ -441,41 +374,25 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	if startErr != nil {
 		return nil, startErr
 	}
-	for k := 0; k < shards; k++ {
-		if err := <-srvErrs[k]; err != nil {
+	for k, sv := range primaries {
+		if err := <-sv.done; err != nil {
 			return nil, fmt.Errorf("session: membership shard %d: %w", k, err)
 		}
 	}
 
 	// Publish on the profile's cadence from every site, mirroring the
 	// simulator's frame schedule (sources capture regardless of demand).
-	if cfg.OnStart != nil {
-		cfg.OnStart()
-	}
 	interval := time.Duration(cfg.Profile.FrameIntervalMs() * float64(time.Millisecond))
 	t0 := time.Now()
-	if cfg.Failover != nil {
-		kill := srvCancels[cfg.Failover.Shard]
-		due := t0.Add(time.Duration(cfg.Failover.AtMs * float64(time.Millisecond)))
-		go func() {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Until(due)):
-			}
-			// Killing the shard's context closes its listener and every
-			// control connection — a hard crash as the RPs see it.
-			kill()
-		}()
-	}
 	var chaosDone chan []chaos.Outcome
 	if chaosActive {
 		ctl := &chaosCluster{
 			ns:     ns,
 			mkNode: mkNode,
-			cur:    append([]*membership.Server(nil), srvs...),
-			chains: append([][]takeover(nil), chains...),
+			cur:    primaries,
+			chains: chains,
 			vnet:   vnet,
+			tenant: cfg.Tenant,
 		}
 		if vnet != nil {
 			ctl.west, ctl.east = splitByLongitudeTenant(s, cfg.Tenant)
@@ -671,22 +588,11 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	res.ChaosEvents = len(chaosOuts)
 	res.ChaosRecoveryMs = chaos.MaxRecoveryMs(chaosOuts)
 	res.Retries = retry.Total()
-	addPhases := func(srv *membership.Server) {
-		ph := srv.PhaseStats()
+	for _, sv := range servers {
+		ph := sv.srv.PhaseStats()
 		res.Phases.ConstructMs += ph.ConstructMs
 		res.Phases.BatchApplyMs += ph.BatchApplyMs
 		res.Phases.RouteRebuildMs += ph.RouteRebuildMs
-	}
-	for _, srv := range srvs {
-		addPhases(srv)
-	}
-	if standby != nil {
-		addPhases(standby)
-	}
-	for k := range chains {
-		for _, to := range chains[k] {
-			addPhases(to.srv)
-		}
 	}
 	return res, nil
 }

@@ -1,11 +1,11 @@
 package session
 
-// scenario.go is the cluster scenario library: each scenario turns the
-// session's churn-trace machinery (ChurnTrace, the same generator the
-// event-driven simulator replays) plus the virtual fabric's impairment
-// hooks into a named, reproducible disruption pattern. Scenarios are
-// pure planners — they produce a trace and an impairment schedule; the
-// cluster driver (RunCluster) executes both.
+// scenario.go is the cluster scenario library: each scenario is a named
+// preset — a churn trace from the session's churn-trace machinery
+// (ChurnTrace, the same generator the event-driven simulator replays)
+// plus a fault schedule in the internal/chaos grammar. Scenarios are
+// pure planners; the cluster driver (RunCluster) replays the trace over
+// the wire and hands the schedule to the chaos injector.
 
 import (
 	"fmt"
@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/tele3d/tele3d/internal/chaos"
 	"github.com/tele3d/tele3d/internal/sim"
 	"github.com/tele3d/tele3d/internal/transport"
 	"github.com/tele3d/tele3d/internal/workload"
@@ -39,8 +40,8 @@ const (
 	// ScenarioSlowLinks degrades a tenth of the sites' links (5x
 	// latency, added loss) for the middle half of the session.
 	ScenarioSlowLinks = "slow-links"
-	// ScenarioFailover runs flash-crowd churn and kills one membership
-	// shard's primary in the middle of the burst: every RP loses the
+	// ScenarioFailover runs flash-crowd churn and restarts one membership
+	// shard in the middle of the burst: every RP loses the
 	// shard's control connection and recovers through standby
 	// re-registration — the chaos drill for the sharded control plane.
 	ScenarioFailover = "failover"
@@ -52,27 +53,16 @@ const (
 	ScenarioChaos = "chaos"
 )
 
-// Impairment is one scheduled mutation of the virtual fabric.
-type Impairment struct {
-	// AtMs is the application time on the session clock (milliseconds
-	// after the first published frame, like sim.Event.AtMs).
-	AtMs float64
-	// Note describes the mutation for logs and result records.
-	Note string
-	// Apply performs the mutation.
-	Apply func(*transport.VirtualNetwork)
-}
-
 // ScenarioPlan is a scenario resolved against one concrete session: the
-// control-event trace to replay over the wire and the fabric impairment
-// schedule to run beside it.
+// control-event trace to replay over the wire and the fault schedule to
+// inject beside it.
 type ScenarioPlan struct {
-	Trace       []sim.Event
-	Impairments []Impairment
-	// Failover, when non-nil, schedules a membership crash: RunCluster
-	// passes it to the live driver, which boots a standby for the shard
-	// and kills the primary at the given session time.
-	Failover *FailoverSpec
+	Trace []sim.Event
+	// Chaos is the scenario's fault schedule in chaos.ParseSchedule
+	// grammar, with concrete targets ("" injects nothing). RunCluster
+	// joins it with ClusterConfig.ChaosSchedule and injects the result
+	// through chaos.Run.
+	Chaos string
 }
 
 // Scenario is a named, reproducible cluster disruption pattern.
@@ -86,7 +76,7 @@ type Scenario struct {
 }
 
 // Plan resolves the scenario against a session. The rng drives trace
-// generation and impairment target selection; the session is left
+// generation and fault target selection; the session is left
 // unmodified.
 func (sc Scenario) Plan(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
 	return sc.plan(s, cfg, rng)
@@ -146,7 +136,7 @@ func ScenarioByName(name string) (Scenario, error) {
 }
 
 // planSteadyChurn is the baseline plan: the configured churn process,
-// no impairments.
+// no faults.
 func planSteadyChurn(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
 	trace, err := s.ChurnTrace(cfg.Churn, cfg.DurationMs, rng)
 	if err != nil {
@@ -183,44 +173,21 @@ func planFlashCrowd(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan
 // severed), so routing updates keep flowing while frames stall across
 // the cut — exactly the asymmetry wide-area incidents show.
 func planPartition(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
-	trace, err := s.ChurnTrace(cfg.Churn, cfg.DurationMs, rng)
+	plan, err := planSteadyChurn(s, cfg, rng)
 	if err != nil {
 		return ScenarioPlan{}, err
 	}
-	west, east := splitByLongitude(s)
-	plan := ScenarioPlan{Trace: trace}
-	if len(west) == 0 || len(east) == 0 {
-		return plan, nil // degenerate geography: nothing to sever
-	}
-	cut, heal := 0.3*cfg.DurationMs, 0.65*cfg.DurationMs
-	plan.Impairments = []Impairment{
-		{
-			AtMs: cut,
-			Note: fmt.Sprintf("partition %d western from %d eastern sites", len(west), len(east)),
-			Apply: func(v *transport.VirtualNetwork) {
-				v.Partition(west, east)
-			},
-		},
-		{
-			AtMs: heal,
-			Note: "heal partition",
-			Apply: func(v *transport.VirtualNetwork) {
-				v.Heal(west, east)
-			},
-		},
-	}
+	plan.Chaos = chaos.Event{
+		AtMs: 0.3 * cfg.DurationMs, Kind: chaos.PartitionHeal, DurationMs: 0.35 * cfg.DurationMs,
+	}.String()
 	return plan, nil
 }
 
-// splitByLongitude partitions the site host names at the median PoP
-// longitude. Sites exactly at the median go east, so both groups are
-// non-empty whenever the cluster spans at least two longitudes.
-func splitByLongitude(s *Session) (west, east []string) {
-	return splitByLongitudeTenant(s, 0)
-}
-
-// splitByLongitudeTenant is splitByLongitude under a tenant's scoped
-// host names (tenant 0 keeps the legacy names).
+// splitByLongitudeTenant partitions a tenant's site host names (tenant
+// 0 keeps the legacy names) at the median PoP longitude — the halves a
+// chaos partition-heal severs. Sites exactly at the median go east, so
+// both groups are non-empty whenever the cluster spans at least two
+// longitudes; otherwise the partition is a no-op.
 func splitByLongitudeTenant(s *Session, tenant int) (west, east []string) {
 	lons := make([]float64, len(s.Sites.Nodes))
 	for i, nd := range s.Sites.Nodes {
@@ -240,11 +207,11 @@ func splitByLongitudeTenant(s *Session, tenant int) (west, east []string) {
 }
 
 // planFailover reuses the flash-crowd trace shape (5x churn compressed
-// into [0.2, 0.4) of the session) and schedules the kill of one
-// membership shard at 0.3 of the session — the middle of the burst, so
-// recovery happens under control-plane load. With a sharded plane the
-// victim is shard 1 (shard 0 keeps the legacy server name); a
-// single-shard plane drills its only server against the standby.
+// into [0.2, 0.4) of the session) and schedules a membership restart at
+// 0.3 of the session — the middle of the burst, so recovery happens
+// under control-plane load. With a sharded plane the victim is shard 1
+// (shard 0 keeps the legacy server name); a single-shard plane drills
+// its only server against the standby.
 func planFailover(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
 	plan, err := planFlashCrowd(s, cfg, rng)
 	if err != nil {
@@ -254,7 +221,7 @@ func planFailover(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, 
 	if cfg.Shards > 1 {
 		shard = 1
 	}
-	plan.Failover = &FailoverSpec{Shard: shard, AtMs: 0.3 * cfg.DurationMs}
+	plan.Chaos = chaos.Event{AtMs: 0.3 * cfg.DurationMs, Kind: chaos.MembershipRestart, Shard: shard}.String()
 	return plan, nil
 }
 
@@ -286,50 +253,22 @@ func planCorrelatedChurn(s *Session, cfg ClusterConfig, rng *rand.Rand) (Scenari
 // planSlowLinks runs the configured churn while a random tenth of the
 // sites (at least one) see all their links degraded — five times the
 // latency and 2% added loss — for the window [0.25, 0.75) of the
-// session, then restored.
+// session, then restored: one link-degrade event per victim.
 func planSlowLinks(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
-	trace, err := s.ChurnTrace(cfg.Churn, cfg.DurationMs, rng)
+	plan, err := planSteadyChurn(s, cfg, rng)
 	if err != nil {
 		return ScenarioPlan{}, err
 	}
 	n := s.Workload.N()
 	victims := rng.Perm(n)[:(n+9)/10]
 	sort.Ints(victims)
-	cost := s.Sites.Cost
-	base := cfg.Link
-	degrade, restore := 0.25*cfg.DurationMs, 0.75*cfg.DurationMs
-	plan := ScenarioPlan{Trace: trace}
-	plan.Impairments = []Impairment{
-		{
-			AtMs: degrade,
-			Note: fmt.Sprintf("degrade all links of %d sites to 5x latency + 2%% loss", len(victims)),
-			Apply: func(v *transport.VirtualNetwork) {
-				for _, i := range victims {
-					for j := 0; j < n; j++ {
-						if j == i {
-							continue
-						}
-						p := base
-						p.LatencyMs = 5 * cost[i][j]
-						p.Loss = base.Loss + 0.02
-						v.SetLinkProfile(transport.SiteHost(i), transport.SiteHost(j), p)
-					}
-				}
-			},
-		},
-		{
-			AtMs: restore,
-			Note: "restore degraded links",
-			Apply: func(v *transport.VirtualNetwork) {
-				for _, i := range victims {
-					for j := 0; j < n; j++ {
-						if j != i {
-							v.ClearLinkProfile(transport.SiteHost(i), transport.SiteHost(j))
-						}
-					}
-				}
-			},
-		},
+	var faults chaos.Schedule
+	for _, i := range victims {
+		faults.Events = append(faults.Events, chaos.Event{
+			AtMs: 0.25 * cfg.DurationMs, Kind: chaos.LinkDegrade, Site: i,
+			Multiplier: 5, Loss: 0.02, DurationMs: 0.5 * cfg.DurationMs,
+		})
 	}
+	plan.Chaos = faults.String()
 	return plan, nil
 }

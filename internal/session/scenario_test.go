@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/tele3d/tele3d/internal/chaos"
 	"github.com/tele3d/tele3d/internal/overlay"
 	"github.com/tele3d/tele3d/internal/workload"
 )
@@ -30,8 +31,8 @@ func scenarioSession(t *testing.T) (*Session, ClusterConfig) {
 // TestScenariosPlanAndReplay checks every shipped scenario produces a
 // trace the event-driven simulator accepts (the applicability contract:
 // each event finds the subscription state it was generated against) with
-// every event inside the session window, and an impairment schedule
-// inside the window too.
+// every event inside the session window, and a fault schedule that
+// parses, resolves, round-trips and ends inside the window too.
 func TestScenariosPlanAndReplay(t *testing.T) {
 	s, cfg := scenarioSession(t)
 	seen := map[string]bool{}
@@ -62,13 +63,8 @@ func TestScenariosPlanAndReplay(t *testing.T) {
 			}) {
 				t.Error("trace times not sorted")
 			}
-			for _, imp := range plan.Impairments {
-				if imp.AtMs < 0 || imp.AtMs >= cfg.DurationMs {
-					t.Errorf("impairment %q at %vms outside the session", imp.Note, imp.AtMs)
-				}
-				if imp.Apply == nil || imp.Note == "" {
-					t.Errorf("impairment %+v missing Apply or Note", imp)
-				}
+			if plan.Chaos != "" {
+				planFaults(t, s, cfg, plan)
 			}
 			// The simulator replays the trace against the same forest the
 			// membership server will build: applicability check.
@@ -113,28 +109,74 @@ func TestScenarioShapes(t *testing.T) {
 		t.Fatalf("correlated churn spread over %d instants, want <= 4 bursts", len(instants))
 	}
 
+	// The fault presets, at the default 2000 ms session: a partition over
+	// [0.3, 0.65) of it, a restart of shard 1 (or the only shard) at 0.3,
+	// and one link-degrade per slow-link victim over [0.25, 0.75).
 	part, err := mustScenario(t, ScenarioPartition).Plan(s, cfg, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(part.Impairments) != 2 {
-		t.Fatalf("partition has %d impairments, want sever+heal", len(part.Impairments))
+	if want := "600:partition-heal:700"; part.Chaos != want {
+		t.Fatalf("partition faults %q, want %q", part.Chaos, want)
 	}
-	if part.Impairments[0].AtMs >= part.Impairments[1].AtMs {
-		t.Fatal("partition heals before it cuts")
+	for shards, want := range map[int]string{0: "600:membership-restart:0", 1: "600:membership-restart:0", 2: "600:membership-restart:1"} {
+		fcfg := cfg
+		fcfg.Shards = shards
+		fo, err := mustScenario(t, ScenarioFailover).Plan(s, fcfg, rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fo.Chaos != want {
+			t.Fatalf("failover faults on %d shard(s) %q, want %q", shards, fo.Chaos, want)
+		}
 	}
 
 	slow, err := mustScenario(t, ScenarioSlowLinks).Plan(s, cfg, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slow.Impairments) != 2 {
-		t.Fatalf("slow-links has %d impairments, want degrade+restore", len(slow.Impairments))
+	faults := planFaults(t, s, cfg, slow)
+	if len(faults.Events) != 2 {
+		t.Fatalf("slow-links degrades %d sites, want a tenth of 12 rounded up: %q", len(faults.Events), slow.Chaos)
+	}
+	for i, e := range faults.Events {
+		want := chaos.Event{AtMs: 500, Kind: chaos.LinkDegrade, Site: e.Site, Multiplier: 5, Loss: 0.02, DurationMs: 1000}
+		if e != want {
+			t.Fatalf("slow-links event %d = %+v, want %+v", i, e, want)
+		}
+		if i > 0 && e.Site <= faults.Events[i-1].Site {
+			t.Fatalf("slow-links victims not distinct and sorted: %q", slow.Chaos)
+		}
 	}
 
 	if _, err := ScenarioByName("no-such-scenario"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
+}
+
+// planFaults checks a plan's fault schedule the way RunCluster uses it:
+// it parses, resolves against the session's shape, renders back to the
+// plan's text byte for byte (the targets are already concrete), and
+// every fault — windows included — ends inside the session.
+func planFaults(t *testing.T, s *Session, cfg ClusterConfig, plan ScenarioPlan) chaos.Schedule {
+	t.Helper()
+	parsed, err := chaos.ParseSchedule(plan.Chaos)
+	if err != nil {
+		t.Fatalf("plan faults %q: %v", plan.Chaos, err)
+	}
+	resolved, err := parsed.Resolve(cfg.Spec.Seed, s.Workload.N(), 2)
+	if err != nil {
+		t.Fatalf("plan faults %q: %v", plan.Chaos, err)
+	}
+	if got := resolved.String(); got != plan.Chaos {
+		t.Fatalf("plan faults resolve to %q, want the plan's own %q", got, plan.Chaos)
+	}
+	for _, e := range resolved.Events {
+		if e.AtMs < 0 || e.AtMs+e.DurationMs >= cfg.DurationMs {
+			t.Errorf("fault %s ends outside the %v ms session", e, cfg.DurationMs)
+		}
+	}
+	return resolved
 }
 
 func mustScenario(t *testing.T, name string) Scenario {
@@ -150,7 +192,7 @@ func mustScenario(t *testing.T, name string) Scenario {
 // both halves are non-empty on a spread-out cluster.
 func TestSplitByLongitude(t *testing.T) {
 	s, _ := scenarioSession(t)
-	west, east := splitByLongitude(s)
+	west, east := splitByLongitudeTenant(s, 0)
 	if len(west)+len(east) != s.Workload.N() {
 		t.Fatalf("split lost sites: %d + %d != %d", len(west), len(east), s.Workload.N())
 	}

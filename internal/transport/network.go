@@ -66,12 +66,6 @@ func ShardServerHost(k int) string {
 	return fmt.Sprintf("%s-%d", ServerHost, k)
 }
 
-// StandbyServerHost returns the conventional fabric host name of shard
-// k's standby membership server (the failover successor).
-func StandbyServerHost(k int) string {
-	return fmt.Sprintf("%s-standby-%d", ServerHost, k)
-}
-
 // StreamShard maps a stream to the membership shard that owns its
 // dissemination tree: streams are partitioned by originating site, so
 // one region's sources live together and a resubscription diff touches
@@ -110,22 +104,16 @@ func TenantShardServerHost(t, k int) string {
 	return fmt.Sprintf("t%d-%s", t, ShardServerHost(k))
 }
 
-// TenantStandbyServerHost returns the fabric host name of tenant t's
-// shard-k standby membership server; tenant 0 keeps the legacy
-// StandbyServerHost names.
-func TenantStandbyServerHost(t, k int) string {
-	if t == 0 {
-		return StandbyServerHost(k)
-	}
-	return fmt.Sprintf("t%d-%s", t, StandbyServerHost(k))
-}
-
 // TenantChaosStandbyHost returns the fabric host name of the idx-th
-// chaos-chain standby for tenant t's shard k. Chaos membership-restart
-// chains live on their own names so they never collide with the
-// failover scenario's single standby.
+// standby in tenant t's shard-k takeover chain
+// ("membership-standby-<k>-c<idx>", "t<t>-"-prefixed for t > 0). Every
+// scheduled membership restart consumes one such standby.
 func TenantChaosStandbyHost(t, k, idx int) string {
-	return fmt.Sprintf("%s-c%d", TenantStandbyServerHost(t, k), idx)
+	host := fmt.Sprintf("%s-standby-%d-c%d", ServerHost, k, idx)
+	if t == 0 {
+		return host
+	}
+	return fmt.Sprintf("t%d-%s", t, host)
 }
 
 // TenantSiteHost returns the fabric host name of tenant t's site-i

@@ -99,11 +99,11 @@ func TestShardHelpers(t *testing.T) {
 	if got := ShardServerHost(2); got != "membership-2" {
 		t.Errorf("ShardServerHost(2) = %q", got)
 	}
-	if got := StandbyServerHost(0); got != "membership-standby-0" {
-		t.Errorf("StandbyServerHost(0) = %q", got)
+	if got := TenantChaosStandbyHost(0, 0, 0); got != "membership-standby-0-c0" {
+		t.Errorf("TenantChaosStandbyHost(0, 0, 0) = %q", got)
 	}
-	if got := StandbyServerHost(3); got != "membership-standby-3" {
-		t.Errorf("StandbyServerHost(3) = %q", got)
+	if got := TenantChaosStandbyHost(0, 3, 2); got != "membership-standby-3-c2" {
+		t.Errorf("TenantChaosStandbyHost(0, 3, 2) = %q", got)
 	}
 
 	id := stream.ID{Site: 7, Index: 2}
@@ -144,9 +144,6 @@ func TestTenantHelpers(t *testing.T) {
 		if got, want := TenantShardServerHost(0, k), ShardServerHost(k); got != want {
 			t.Errorf("TenantShardServerHost(0, %d) = %q, want legacy %q", k, got, want)
 		}
-		if got, want := TenantStandbyServerHost(0, k), StandbyServerHost(k); got != want {
-			t.Errorf("TenantStandbyServerHost(0, %d) = %q, want legacy %q", k, got, want)
-		}
 	}
 	if got := TenantSiteHost(3, 7); got != "t3-site-7" {
 		t.Errorf("TenantSiteHost(3, 7) = %q", got)
@@ -157,8 +154,8 @@ func TestTenantHelpers(t *testing.T) {
 	if got := TenantShardServerHost(2, 1); got != "t2-membership-1" {
 		t.Errorf("TenantShardServerHost(2, 1) = %q", got)
 	}
-	if got := TenantStandbyServerHost(2, 1); got != "t2-membership-standby-1" {
-		t.Errorf("TenantStandbyServerHost(2, 1) = %q", got)
+	if got := TenantChaosStandbyHost(2, 1, 0); got != "t2-membership-standby-1-c0" {
+		t.Errorf("TenantChaosStandbyHost(2, 1, 0) = %q", got)
 	}
 	// Host names must be unique across (tenant, site): a shared fabric
 	// keys its listeners by name.

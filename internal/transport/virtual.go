@@ -280,6 +280,13 @@ func (v *VirtualNetwork) ClearLinkProfile(a, b string) {
 	v.mu.Unlock()
 }
 
+// StaticLinkProfile returns the configured (VirtualConfig.Links)
+// profile of the directed link from -> to, ignoring any SetLinkProfile
+// override and any storm — the baseline a degradation scales.
+func (v *VirtualNetwork) StaticLinkProfile(from, to string) LinkProfile {
+	return v.links(from, to)
+}
+
 // SetStorm installs a fabric-wide impairment: every link's latency is
 // multiplied by latencyMul (values <= 0 mean 1) and extraLoss is added
 // to every link's loss probability (clamped to 1). Unlike per-pair

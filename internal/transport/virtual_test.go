@@ -584,6 +584,31 @@ func TestVirtualStormDegradesAllLinks(t *testing.T) {
 	}
 }
 
+// TestVirtualStaticLinkProfileIgnoresImpairments pins that the static
+// accessor reads the configured matrix only: neither a per-pair
+// override nor a fabric-wide storm shows through it, so a degradation
+// scaled from it never compounds on another one.
+func TestVirtualStaticLinkProfileIgnoresImpairments(t *testing.T) {
+	cost := [][]float64{{0, 10}, {10, 0}}
+	base := LinkProfile{JitterMs: 1, Loss: 0.01}
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: SiteLinks(cost, base)})
+	want := LinkProfile{LatencyMs: 10, JitterMs: 1, Loss: 0.01}
+	if got := v.StaticLinkProfile("site-0", "site-1"); got != want {
+		t.Fatalf("static profile = %+v, want %+v", got, want)
+	}
+	v.SetLinkProfile("site-0", "site-1", LinkProfile{LatencyMs: 50, Loss: 0.2})
+	v.SetStorm(3, 0.4)
+	if got := v.StaticLinkProfile("site-0", "site-1"); got != want {
+		t.Fatalf("static profile under override + storm = %+v, want %+v", got, want)
+	}
+	if got := v.profileFor("site-0", "site-1").LatencyMs; got != 150 {
+		t.Fatalf("effective latency = %v, want the 150 ms override under storm", got)
+	}
+	if got := v.StaticLinkProfile("membership", "site-1"); got != (LinkProfile{}) {
+		t.Fatalf("control-plane static profile = %+v, want perfect", got)
+	}
+}
+
 // TestHalfPipeReleasesDrainedChunks is the white-box check on the chunk
 // queue: a chunk is unreachable from the pipe the moment it has been
 // read (no slot of the backing array still points at it), and a steady
