@@ -179,13 +179,15 @@ batch-smoke:
 	echo "batch-smoke OK"
 
 # lint-docs enforces the documentation contracts with the in-repo
-# doccheck tool: every exported identifier in the networked-plane
-# packages carries a doc comment (the revive/golint `exported` rule),
+# doccheck tool: every exported identifier in every internal/ package
+# carries a doc comment (the revive/golint `exported` rule),
 # every relative markdown link in the top-level docs resolves, and every
 # `make <target>` the docs mention exists in this Makefile.
 lint-docs:
 	$(GO) run ./cmd/doccheck -exported \
-		./internal/transport ./internal/membership ./internal/rp ./internal/session ./internal/chaos
+		./internal/transport ./internal/membership ./internal/rp ./internal/session ./internal/chaos \
+		./internal/workload ./internal/record ./internal/sim ./internal/overlay ./internal/topology \
+		./internal/stream ./internal/metrics ./internal/experiments ./internal/fov ./internal/geo
 	$(GO) run ./cmd/doccheck -links \
 		README.md ARCHITECTURE.md examples/README.md
 	$(GO) run ./cmd/doccheck -make -makefile Makefile \

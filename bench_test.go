@@ -364,29 +364,32 @@ func BenchmarkChurn(b *testing.B) {
 
 // benchMultiTenant measures the multi-tenant build path — spec
 // expansion, K per-tenant site placements and forests, the SLO-ordered
-// admission pre-pass and churn-trace planning — at a fixed total fleet
-// size, so the 1-vs-8 pair isolates the cost of tenancy itself rather
-// than of extra sites.
+// admission pre-pass and churn-trace planning, i.e. session.BuildTenants
+// — at a fixed total fleet size, so the 1-vs-8 pair isolates the cost
+// of tenancy itself rather than of extra sites.
 func benchMultiTenant(b *testing.B, tenants int) {
 	const totalSites = 200
 	spec, err := workload.DefaultTenantSpec(tenants, totalSites)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := session.MultiClusterConfig{
-		Spec: spec, CamerasPerSite: 2, DisplaysPerSite: 1,
-		Algorithm: overlay.RJ{}, Seed: 1,
+	cfg := session.ClusterConfig{
+		Spec: session.ClusterSpec{Spec: session.Spec{
+			CamerasPerSite: 2, DisplaysPerSite: 1,
+			Algorithm: overlay.RJ{}, Seed: 1,
+		}},
+		Tenants:        spec,
 		Churn:          workload.ChurnProfile{RatePerSec: 4, ViewChangeMix: 0.7},
 		UplinkCapacity: 8,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mc, err := session.BuildMultiCluster(cfg)
+		runs, err := session.BuildTenants(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(mc.Tenants) != tenants {
-			b.Fatalf("built %d tenants, want %d", len(mc.Tenants), tenants)
+		if len(runs) != tenants {
+			b.Fatalf("built %d tenants, want %d", len(runs), tenants)
 		}
 	}
 }

@@ -123,6 +123,11 @@ func checkPackage(fset *token.FileSet, name string, pkg *ast.Package) []string {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
+				// revive's exported rule skips methods on unexported
+				// types: they are not part of the package's API.
+				if d.Recv != nil && !ast.IsExported(recvTypeName(d.Recv)) {
+					continue
+				}
 				if d.Name.IsExported() && d.Doc == nil {
 					kind := "function"
 					if d.Recv != nil {
@@ -136,6 +141,29 @@ func checkPackage(fset *token.FileSet, name string, pkg *ast.Package) []string {
 		}
 	}
 	return findings
+}
+
+// recvTypeName returns the base type name of a method receiver
+// (T, *T, T[P] and *T[P] all yield "T").
+func recvTypeName(recv *ast.FieldList) string {
+	if len(recv.List) == 0 {
+		return ""
+	}
+	t := recv.List[0].Type
+	for {
+		switch e := t.(type) {
+		case *ast.StarExpr:
+			t = e.X
+		case *ast.IndexExpr:
+			t = e.X
+		case *ast.IndexListExpr:
+			t = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // checkGenDecl applies the rule to a type/const/var declaration: each

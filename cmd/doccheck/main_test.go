@@ -37,6 +37,21 @@ func (Documented) UndocumentedMethod() {}
 
 // DocumentedMethod is fine.
 func (Documented) DocumentedMethod() {}
+
+type hidden []int
+
+func (h hidden) Len() int { return len(h) }
+
+func (h *hidden) PointerLen() int { return len(*h) }
+
+type generic[T any] struct{}
+
+func (generic[T]) GenericMethod() {}
+
+// Exposed is documented.
+type Exposed[T any] struct{}
+
+func (*Exposed[T]) UndocumentedGenericMethod() {}
 `
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -57,35 +72,35 @@ func (Documented) DocumentedMethod() {}
 		"exported function UndocumentedFunc",
 		"exported const LoneUndocumented",
 		"exported method UndocumentedMethod",
+		"exported method UndocumentedGenericMethod",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("findings missing %q:\n%s", want, joined)
 		}
 	}
-	for _, tooMuch := range []string{"Documented ", "DocumentedFunc", "GroupedA", "unexported", "TestHelper", "DocumentedMethod"} {
+	for _, tooMuch := range []string{"Documented ", "DocumentedFunc", "GroupedA", "unexported", "TestHelper", "DocumentedMethod", "method Len", "method PointerLen", "method GenericMethod"} {
 		if strings.Contains(joined, tooMuch) {
 			t.Errorf("false positive on %q:\n%s", tooMuch, joined)
 		}
 	}
 }
 
-// TestCheckExportedCleanPackages runs the rule over the repository's
-// networked-plane packages — the satellite contract this tool enforces
-// in CI.
+// TestCheckExportedCleanPackages runs the rule over every internal/
+// package — the contract `make lint-docs` enforces in CI.
 func TestCheckExportedCleanPackages(t *testing.T) {
-	root := "../.."
-	dirs := []string{
-		filepath.Join(root, "internal/transport"),
-		filepath.Join(root, "internal/membership"),
-		filepath.Join(root, "internal/rp"),
-		filepath.Join(root, "internal/session"),
+	dirs, err := filepath.Glob("../../internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no internal packages found")
 	}
 	findings, err := checkExported(dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) > 0 {
-		t.Errorf("networked-plane packages have undocumented exports:\n%s", strings.Join(findings, "\n"))
+		t.Errorf("internal packages have undocumented exports:\n%s", strings.Join(findings, "\n"))
 	}
 }
 

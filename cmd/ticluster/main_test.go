@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,9 @@ func TestRunVirtualEndToEnd(t *testing.T) {
 	if rec.ElapsedMs <= 0 {
 		t.Errorf("record missing elapsed time: %+v", rec)
 	}
+	if rec.Tenant != 0 || rec.SLOClass != "" || rec.Admitted != 0 || rec.Rejections != 0 {
+		t.Errorf("single-tenant record carries tenant columns: %+v", rec)
+	}
 	if scanner.Scan() {
 		t.Error("more than one jsonl record")
 	}
@@ -152,7 +156,7 @@ func TestRunMultiTenantEndToEnd(t *testing.T) {
 		jsonlPath: filepath.Join(dir, "tenants.jsonl"),
 	}
 	var out, stdout bytes.Buffer
-	if err := runMultiTenant(opt, &out, &stdout); err != nil {
+	if err := runVirtual(opt, &out, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"multi-tenant virtual cluster, 4 tenants over 40 sites", "premium-0", "besteffort-1"} {
@@ -209,13 +213,74 @@ func TestRunMultiTenantRejectsBadSpec(t *testing.T) {
 	}
 	bad := base
 	bad.tenantSpec = "1xgold:4"
-	if err := runMultiTenant(bad, &out, &stdout); err == nil {
+	if err := runVirtual(bad, &out, &stdout); err == nil {
 		t.Error("unknown SLO class accepted")
 	}
 	bad = base
 	bad.tenants = 9 // 9 tenants cannot fit 4 sites at >= 2 each
-	if err := runMultiTenant(bad, &out, &stdout); err == nil {
+	if err := runVirtual(bad, &out, &stdout); err == nil {
 		t.Error("oversubscribed tenant count accepted")
+	}
+}
+
+// TestRejectsDroppedFlags pins that no flag is silently ignored: every
+// virtual-only flag fails TCP mode by name, and multi-tenant runs
+// reject the scenario, chaos and uplink settings they cannot honour.
+func TestRejectsDroppedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "8"}, "-nodes"},
+		{[]string{"-scenario", "partition"}, "-scenario"},
+		{[]string{"-chaos", "300:rp-crash:0"}, "-chaos"},
+		{[]string{"-churnrate", "4"}, "-churnrate"},
+		{[]string{"-churnmix", "0.5"}, "-churnmix"},
+		{[]string{"-shards", "2"}, "-shards"},
+		{[]string{"-flush", "5"}, "-flush"},
+		{[]string{"-maxdisruption", "100"}, "-maxdisruption"},
+		{[]string{"-csv", "x.csv"}, "-csv"},
+		{[]string{"-jsonl", "x.jsonl"}, "-jsonl"},
+		{[]string{"-uplink", "4"}, "-uplink"},
+		{[]string{"-tenants", "2"}, "-tenants"},
+		{[]string{"-tenantspec", "2xbesteffort:4"}, "-tenantspec"},
+		{[]string{"-n", "4", "-shards", "2", "-csv", "x.csv"}, "-csv, -shards"},
+		{[]string{"-virtual", "-tenants", "2", "-scenario", "partition"}, "scenario"},
+		{[]string{"-virtual", "-tenantspec", "2xbesteffort:4", "-chaos", "300:latency-storm:2:100"}, "chaos"},
+		{[]string{"-virtual", "-tenants", "2", "-uplink", "-1"}, "uplink"},
+		{[]string{"-virtual", "-uplink", "4"}, "-uplink"},
+	} {
+		opt, err := parseOptions(tc.args, flag.ContinueOnError)
+		if err == nil {
+			var out, stdout bytes.Buffer
+			err = runVirtual(opt, &out, &stdout)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+	// The same flags are accepted where they apply.
+	if _, err := parseOptions([]string{"-virtual", "-nodes", "8", "-shards", "2", "-csv", "x.csv"}, flag.ContinueOnError); err != nil {
+		t.Errorf("virtual flags rejected with -virtual: %v", err)
+	}
+	if _, err := parseOptions([]string{"-n", "3", "-cameras", "2", "-algo", "LTF"}, flag.ContinueOnError); err != nil {
+		t.Errorf("TCP flags rejected: %v", err)
+	}
+}
+
+// TestRunTCP drives the loopback-TCP mode end to end: a small session
+// streams for its duration and prints the live summary.
+func TestRunTCP(t *testing.T) {
+	var out bytes.Buffer
+	if err := runTCP(options{
+		n: 3, cameras: 2, displays: 1, algo: "RJ", seed: 5, duration: 400 * time.Millisecond,
+	}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ticluster: 3 sites:", "planned forest", "0 control events", "frames:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

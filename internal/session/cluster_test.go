@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,5 +232,47 @@ func TestRunClusterValidation(t *testing.T) {
 		Spec: ClusterSpec{Spec: Spec{N: 4, CamerasPerSite: 1, Seed: 1}},
 	}); err == nil {
 		t.Error("zero churn profile accepted")
+	}
+
+	// A multi-tenant run rejects every knob it would otherwise ignore.
+	tenants := workload.MultiTenantSpec{Classes: []workload.TenantClass{
+		{Count: 2, SLO: workload.SLOBestEffort, Sites: 3},
+	}}
+	for _, tc := range []struct {
+		name string
+		cfg  ClusterConfig
+		want string
+	}{
+		{"non-steady scenario", ClusterConfig{Tenants: tenants, Churn: churn, Scenario: ScenarioPartition}, "scenario"},
+		{"chaos schedule", ClusterConfig{Tenants: tenants, Churn: churn, ChaosSchedule: "300:latency-storm:2:100"}, "chaos"},
+		{"Spec.N", ClusterConfig{Tenants: tenants, Churn: churn, Spec: ClusterSpec{Spec: Spec{N: 4}}}, "Spec.N"},
+		{"negative uplink", ClusterConfig{Tenants: tenants, Churn: churn, UplinkCapacity: -1}, "uplink"},
+	} {
+		_, err := RunCluster(ctx, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s with Tenants: err %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDeliveredFraction pins the ratio, including the run with no
+// gains: nothing to deliver, nothing lost, so everything was delivered.
+func TestDeliveredFraction(t *testing.T) {
+	for _, tc := range []struct {
+		delivered, undelivered int
+		want                   float64
+	}{
+		{0, 0, 1},
+		{3, 1, 0.75},
+		{0, 4, 0},
+		{5, 0, 1},
+	} {
+		live := &LiveResult{DeliveredGained: tc.delivered, UndeliveredGained: tc.undelivered}
+		if got := live.DeliveredFraction(); got != tc.want {
+			t.Errorf("%d delivered, %d not: fraction %v, want %v", tc.delivered, tc.undelivered, got, tc.want)
+		}
+		if got := (&ClusterResult{Live: live}).DeliveredFraction(); got != tc.want {
+			t.Errorf("cluster result fraction %v, want %v", got, tc.want)
+		}
 	}
 }

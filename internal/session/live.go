@@ -176,6 +176,18 @@ type LiveResult struct {
 	Phases membership.PhaseStats
 }
 
+// DeliveredFraction is the fraction of accepted gained streams whose
+// first frame arrived before session end. A run with no gains delivered
+// everything it was asked to — nothing to deliver, nothing lost — and
+// reports 1.
+func (r *LiveResult) DeliveredFraction() float64 {
+	total := r.DeliveredGained + r.UndeliveredGained
+	if total == 0 {
+		return 1
+	}
+	return float64(r.DeliveredGained) / float64(total)
+}
+
 func (c LiveConfig) withDefaults() LiveConfig {
 	if c.Algorithm == nil {
 		c.Algorithm = overlay.RJ{}

@@ -108,7 +108,7 @@ func TestLiveChurnVirtualFabric(t *testing.T) {
 		Seed:       spec.Seed,
 		Fabric: transport.NewVirtualNetwork(transport.VirtualConfig{
 			Seed:  spec.Seed,
-			Links: transport.SiteLinks(s.Sites.Cost, transport.LinkProfile{}),
+			Links: transport.TenantSiteLinks([][][]float64{s.Sites.Cost}, transport.LinkProfile{}),
 		}),
 	}
 	trace, err := s.ChurnTrace(workload.ChurnProfile{RatePerSec: 3, ViewChangeMix: 0.7}, cfg.DurationMs, rand.New(rand.NewSource(5)))

@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -13,10 +12,11 @@ import (
 	"github.com/tele3d/tele3d/internal/workload"
 )
 
-// TestSingleTenantBuildMatchesSingleSession is the regression pin: a
-// one-tenant multi-cluster with unconstrained uplinks must reproduce
-// BuildCluster's session — placement, workload, forest — and the exact
-// steady-churn trace RunCluster would plan, bit for bit.
+// TestSingleTenantBuildMatchesSingleSession is the regression pin for
+// the one cluster runner: BuildTenants on a one-premium-tenant spec
+// with unconstrained uplinks must reproduce the same step on no spec —
+// placement, workload, forest and the planned steady-churn trace — bit
+// for bit.
 func TestSingleTenantBuildMatchesSingleSession(t *testing.T) {
 	const (
 		seed     = 42
@@ -25,68 +25,94 @@ func TestSingleTenantBuildMatchesSingleSession(t *testing.T) {
 	)
 	churn := workload.ChurnProfile{RatePerSec: 4, ViewChangeMix: 0.5}
 
-	mc, err := BuildMultiCluster(MultiClusterConfig{
-		Spec: workload.MultiTenantSpec{Classes: []workload.TenantClass{
+	runs, err := BuildTenants(ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{Seed: seed}},
+		Tenants: workload.MultiTenantSpec{Classes: []workload.TenantClass{
 			{Count: 1, SLO: workload.SLOPremium, Sites: sites},
 		}},
-		Seed: seed, DurationMs: duration, Churn: churn,
+		DurationMs: duration, Churn: churn,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mc.Tenants) != 1 {
-		t.Fatalf("built %d tenants, want 1", len(mc.Tenants))
+	if len(runs) != 1 {
+		t.Fatalf("built %d tenants, want 1", len(runs))
 	}
-	run := mc.Tenants[0]
+	run := runs[0]
 	if run.Tenant.Index != 0 || run.RejectedStart != 0 {
 		t.Fatalf("single premium tenant run %+v: want index 0 and no rejections", run.Tenant)
 	}
 
-	s, err := BuildCluster(ClusterSpec{Spec: Spec{N: sites, Seed: seed}})
+	plain, err := BuildTenants(ClusterConfig{
+		Spec:       ClusterSpec{Spec: Spec{N: sites, Seed: seed}},
+		DurationMs: duration, Churn: churn,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed*7919 + int64(len(ScenarioSteadyChurn))))
-	trace, err := s.ChurnTrace(churn, duration, rng)
-	if err != nil {
-		t.Fatal(err)
+	if len(plain) != 1 {
+		t.Fatalf("built %d runs without a tenant spec, want 1", len(plain))
 	}
+	s := plain[0]
 
-	if !reflect.DeepEqual(run.Session.Workload, s.Workload) {
+	if !reflect.DeepEqual(run.Session.Workload, s.Session.Workload) {
 		t.Error("tenant 0 workload differs from the single-session build")
 	}
-	if !reflect.DeepEqual(run.Session.Sites.Cost, s.Sites.Cost) {
+	if !reflect.DeepEqual(run.Session.Sites.Cost, s.Session.Sites.Cost) {
 		t.Error("tenant 0 cost matrix differs from the single-session build")
 	}
-	if !reflect.DeepEqual(run.Session.Forest, s.Forest) {
+	if !reflect.DeepEqual(run.Session.Forest, s.Session.Forest) {
 		t.Error("tenant 0 forest differs from the single-session build")
 	}
-	if !reflect.DeepEqual(run.Trace, trace) {
+	if !reflect.DeepEqual(run.Trace, s.Trace) {
 		t.Errorf("tenant 0 trace differs from the single-session plan: %d vs %d events",
-			len(run.Trace), len(trace))
+			len(run.Trace), len(s.Trace))
 	}
-	for i, up := range run.Uplinks {
+	if len(run.Config.Uplinks) != sites {
+		t.Fatalf("%d uplinks for %d sites", len(run.Config.Uplinks), sites)
+	}
+	for i, up := range run.Config.Uplinks {
 		if up == "" {
 			t.Fatalf("site %d has no uplink name", i)
 		}
 	}
+	// And the no-spec step is BuildCluster's session.
+	direct, err := BuildCluster(ClusterSpec{Spec: Spec{N: sites, Seed: seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Session.Forest, direct.Forest) || !reflect.DeepEqual(s.Session.Workload, direct.Workload) {
+		t.Error("single-session run differs from BuildCluster")
+	}
+	// Without a spec the run books nothing: no controller, no uplinks.
+	if s.Config.Admission != nil || s.Config.Uplinks != nil || s.AdmittedStart != 0 {
+		t.Errorf("single-session run booked admission: %+v", s.Config)
+	}
 }
 
-// TestRunMultiClusterOverloadSmall drives three tenants over one fabric
+// totalSites sums the site counts of every tenant a run served.
+func totalSites(res *ClusterResult) int {
+	n := 0
+	for _, tn := range res.Tenants {
+		n += tn.Sites
+	}
+	return n
+}
+
+// TestRunClusterTenantsOverloadSmall drives three tenants over one fabric
 // with a tightly capped uplink pool: the premium tenant must sail
 // through untouched while the lower classes absorb the rejections. It
 // is small enough to run under the race detector.
-func TestRunMultiClusterOverloadSmall(t *testing.T) {
+func TestRunClusterTenantsOverloadSmall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	res, err := RunMultiCluster(ctx, MultiClusterConfig{
-		Spec: workload.MultiTenantSpec{Classes: []workload.TenantClass{
+	res, err := RunCluster(ctx, ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{CamerasPerSite: 2, DisplaysPerSite: 1, Seed: 7}},
+		Tenants: workload.MultiTenantSpec{Classes: []workload.TenantClass{
 			{Count: 1, SLO: workload.SLOPremium, Sites: 6},
 			{Count: 1, SLO: workload.SLOStandard, Sites: 6},
 			{Count: 1, SLO: workload.SLOBestEffort, Sites: 6},
 		}},
-		CamerasPerSite: 2, DisplaysPerSite: 1,
-		Seed:           7,
 		Profile:        stream.Profile{Width: 32, Height: 24, FPS: 10, CompressionRatio: 8},
 		DurationMs:     800,
 		Churn:          workload.ChurnProfile{RatePerSec: 5, ViewChangeMix: 0.6},
@@ -95,8 +121,8 @@ func TestRunMultiClusterOverloadSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tenants) != 3 || res.Sites != 18 {
-		t.Fatalf("ran %d tenants over %d sites", len(res.Tenants), res.Sites)
+	if len(res.Tenants) != 3 || totalSites(res) != 18 {
+		t.Fatalf("ran %d tenants over %d sites", len(res.Tenants), totalSites(res))
 	}
 	premium, rest := res.Tenants[0], res.Tenants[1:]
 	if premium.SLO != workload.SLOPremium {
@@ -120,17 +146,16 @@ func TestRunMultiClusterOverloadSmall(t *testing.T) {
 	}
 }
 
-// TestRunMultiClusterUnlimited pins that an uncapped multi-cluster
+// TestRunClusterTenantsUnlimited pins that an uncapped multi-tenant run
 // admits everyone: the controller only accounts, nothing is denied.
-func TestRunMultiClusterUnlimited(t *testing.T) {
+func TestRunClusterTenantsUnlimited(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	res, err := RunMultiCluster(ctx, MultiClusterConfig{
-		Spec: workload.MultiTenantSpec{Classes: []workload.TenantClass{
+	res, err := RunCluster(ctx, ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{CamerasPerSite: 2, DisplaysPerSite: 1, Seed: 11}},
+		Tenants: workload.MultiTenantSpec{Classes: []workload.TenantClass{
 			{Count: 2, SLO: workload.SLOBestEffort, Sites: 5},
 		}},
-		CamerasPerSite: 2, DisplaysPerSite: 1,
-		Seed:       11,
 		Profile:    stream.Profile{Width: 32, Height: 24, FPS: 10, CompressionRatio: 8},
 		DurationMs: 600,
 		Churn:      workload.ChurnProfile{RatePerSec: 3, ViewChangeMix: 0.5},
@@ -166,15 +191,16 @@ func TestMultiTenantOverloadSLO(t *testing.T) {
 	// as in the sharded failover acceptance test; the frame interval
 	// enters live and sim disruption alike, so parity stays apples to
 	// apples.
-	res, err := RunMultiCluster(ctx, MultiClusterConfig{
-		Spec: workload.MultiTenantSpec{Classes: []workload.TenantClass{
+	res, err := RunCluster(ctx, ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{
+			CamerasPerSite: 1, DisplaysPerSite: 1,
+			Algorithm: overlay.RJ{}, Seed: 17,
+		}},
+		Tenants: workload.MultiTenantSpec{Classes: []workload.TenantClass{
 			{Count: 1, SLO: workload.SLOPremium, Sites: 125},
 			{Count: 1, SLO: workload.SLOStandard, Sites: 125},
 			{Count: 6, SLO: workload.SLOBestEffort, Sites: 125},
 		}},
-		CamerasPerSite: 1, DisplaysPerSite: 1,
-		Algorithm:       overlay.RJ{},
-		Seed:            17,
 		Profile:         stream.Profile{Width: 32, Height: 24, FPS: 5, CompressionRatio: 8},
 		DurationMs:      2500,
 		Churn:           workload.ChurnProfile{RatePerSec: 4, ViewChangeMix: 0.8},
@@ -185,8 +211,8 @@ func TestMultiTenantOverloadSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tenants) != 8 || res.Sites != 1000 {
-		t.Fatalf("ran %d tenants over %d sites, want 8 over 1000", len(res.Tenants), res.Sites)
+	if len(res.Tenants) != 8 || totalSites(res) != 1000 {
+		t.Fatalf("ran %d tenants over %d sites, want 8 over 1000", len(res.Tenants), totalSites(res))
 	}
 
 	premium := res.Tenants[0]

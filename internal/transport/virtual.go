@@ -71,37 +71,20 @@ type VirtualConfig struct {
 	Seed int64
 	// Links returns the profile of the directed link from one named host
 	// to another. nil means every link is perfect (zero latency and
-	// loss). SiteLinks builds the conventional matrix-driven function.
+	// loss). TenantSiteLinks builds the conventional matrix-driven function.
 	Links func(from, to string) LinkProfile
 }
 
-// SiteLinks returns a link-profile function driven by a pairwise cost
-// matrix: the link between SiteHost(i) and SiteHost(j) carries
-// cost[i][j] milliseconds of one-way latency plus the base profile's
-// jitter, loss and bandwidth; links to or from any other host (the
-// membership server in particular) are perfect, modelling an out-of-band
-// control plane the way the simulator does.
-func SiteLinks(cost [][]float64, base LinkProfile) func(from, to string) LinkProfile {
-	return func(from, to string) LinkProfile {
-		i, okFrom := siteIndex(from)
-		j, okTo := siteIndex(to)
-		if !okFrom || !okTo || i >= len(cost) || j >= len(cost) || i == j {
-			return LinkProfile{}
-		}
-		p := base
-		p.LatencyMs = cost[i][j]
-		return p
-	}
-}
-
-// TenantSiteLinks returns a link-profile function for a multi-tenant
-// fabric: costs[t] is tenant t's pairwise cost matrix, and the link
+// TenantSiteLinks returns a link-profile function driven by per-tenant
+// pairwise cost matrices: costs[t] is tenant t's matrix, and the link
 // between TenantSiteHost(t, i) and TenantSiteHost(t, j) carries
 // costs[t][i][j] milliseconds of one-way latency plus the base
-// profile's jitter, loss and bandwidth. Links between hosts of
-// different tenants are perfect — tenants never exchange frames, so
-// those links carry nothing — as are control-plane links, matching
-// SiteLinks' out-of-band model.
+// profile's jitter, loss and bandwidth. Tenant 0 keeps the plain
+// SiteHost names, so a single-tenant fabric passes one matrix. Links
+// between hosts of different tenants are perfect — tenants never
+// exchange frames, so those links carry nothing — and so are links to
+// or from any other host (the membership servers in particular),
+// modelling an out-of-band control plane the way the simulator does.
 func TenantSiteLinks(costs [][][]float64, base LinkProfile) func(from, to string) LinkProfile {
 	return func(from, to string) LinkProfile {
 		ta, i, okFrom := tenantSiteIndex(from)

@@ -294,30 +294,10 @@ func TestVirtualReadDeadline(t *testing.T) {
 	}
 }
 
-// TestSiteLinks checks the matrix-driven profile function: site pairs get
-// the matrix latency, server links are perfect.
-func TestSiteLinks(t *testing.T) {
-	cost := [][]float64{{0, 40}, {40, 0}}
-	links := SiteLinks(cost, LinkProfile{JitterMs: 2, Loss: 0.01})
-	p := links(SiteHost(0), SiteHost(1))
-	if p.LatencyMs != 40 || p.JitterMs != 2 || p.Loss != 0.01 {
-		t.Fatalf("site link profile %+v", p)
-	}
-	if p := links(ServerHost, SiteHost(1)); p != (LinkProfile{}) {
-		t.Fatalf("server link profile %+v, want perfect", p)
-	}
-	if p := links(SiteHost(0), SiteHost(0)); p != (LinkProfile{}) {
-		t.Fatalf("self link profile %+v, want perfect", p)
-	}
-	if p := links(SiteHost(5), SiteHost(1)); p != (LinkProfile{}) {
-		t.Fatalf("out-of-range site profile %+v, want perfect", p)
-	}
-}
-
-// TestTenantSiteLinks pins the multi-tenant link model: each tenant's
-// sites see that tenant's own cost matrix, cross-tenant and
-// control-plane links are perfect, and tenant 0 hosts (legacy names)
-// resolve through costs[0].
+// TestTenantSiteLinks pins the link model: each tenant's sites see that
+// tenant's own cost matrix, cross-tenant, self and control-plane links
+// are perfect, and tenant 0 hosts (plain site names) resolve through
+// costs[0] — a one-matrix fabric is the single-tenant cluster.
 func TestTenantSiteLinks(t *testing.T) {
 	costs := [][][]float64{
 		{{0, 40}, {40, 0}},
@@ -326,6 +306,20 @@ func TestTenantSiteLinks(t *testing.T) {
 	links := TenantSiteLinks(costs, LinkProfile{JitterMs: 2, Loss: 0.01})
 	if p := links(TenantSiteHost(0, 0), TenantSiteHost(0, 1)); p.LatencyMs != 40 || p.JitterMs != 2 {
 		t.Fatalf("tenant 0 link profile %+v", p)
+	}
+	// A single-tenant fabric: one matrix, plain site names.
+	single := TenantSiteLinks(costs[:1], LinkProfile{JitterMs: 2, Loss: 0.01})
+	if p := single(SiteHost(0), SiteHost(1)); p.LatencyMs != 40 || p.JitterMs != 2 || p.Loss != 0.01 {
+		t.Fatalf("site link profile %+v", p)
+	}
+	if p := single(ServerHost, SiteHost(1)); p != (LinkProfile{}) {
+		t.Fatalf("server link profile %+v, want perfect", p)
+	}
+	if p := single(SiteHost(0), SiteHost(0)); p != (LinkProfile{}) {
+		t.Fatalf("self link profile %+v, want perfect", p)
+	}
+	if p := single(SiteHost(5), SiteHost(1)); p != (LinkProfile{}) {
+		t.Fatalf("out-of-range site profile %+v, want perfect", p)
 	}
 	if p := links(TenantSiteHost(1, 0), TenantSiteHost(1, 1)); p.LatencyMs != 90 || p.Loss != 0.01 {
 		t.Fatalf("tenant 1 link profile %+v", p)
@@ -556,7 +550,7 @@ func TestVirtualStormIntensityImpairments(t *testing.T) {
 // restores it, without touching per-pair overrides.
 func TestVirtualStormDegradesAllLinks(t *testing.T) {
 	cost := [][]float64{{0, 10}, {10, 0}}
-	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: SiteLinks(cost, LinkProfile{})})
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost}, LinkProfile{})})
 	if got := v.profileFor("site-0", "site-1").LatencyMs; got != 10 {
 		t.Fatalf("base latency = %v, want 10", got)
 	}
@@ -591,7 +585,7 @@ func TestVirtualStormDegradesAllLinks(t *testing.T) {
 func TestVirtualStaticLinkProfileIgnoresImpairments(t *testing.T) {
 	cost := [][]float64{{0, 10}, {10, 0}}
 	base := LinkProfile{JitterMs: 1, Loss: 0.01}
-	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: SiteLinks(cost, base)})
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost}, base)})
 	want := LinkProfile{LatencyMs: 10, JitterMs: 1, Loss: 0.01}
 	if got := v.StaticLinkProfile("site-0", "site-1"); got != want {
 		t.Fatalf("static profile = %+v, want %+v", got, want)
