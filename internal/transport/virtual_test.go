@@ -294,10 +294,30 @@ func TestVirtualReadDeadline(t *testing.T) {
 	}
 }
 
-// TestTenantSiteLinks pins the link model: each tenant's sites see that
-// tenant's own cost matrix, cross-tenant, self and control-plane links
-// are perfect, and tenant 0 hosts (plain site names) resolve through
-// costs[0] — a one-matrix fabric is the single-tenant cluster.
+// TestSiteLinks checks the single-tenant fabric, one cost matrix with
+// plain site names: site pairs get the matrix latency plus the base
+// profile, and server, self and out-of-range links are perfect.
+func TestSiteLinks(t *testing.T) {
+	cost := [][]float64{{0, 40}, {40, 0}}
+	links := TenantSiteLinks([][][]float64{cost}, LinkProfile{JitterMs: 2, Loss: 0.01})
+	if p := links(SiteHost(0), SiteHost(1)); p.LatencyMs != 40 || p.JitterMs != 2 || p.Loss != 0.01 {
+		t.Fatalf("site link profile %+v", p)
+	}
+	if p := links(ServerHost, SiteHost(1)); p != (LinkProfile{}) {
+		t.Fatalf("server link profile %+v, want perfect", p)
+	}
+	if p := links(SiteHost(0), SiteHost(0)); p != (LinkProfile{}) {
+		t.Fatalf("self link profile %+v, want perfect", p)
+	}
+	if p := links(SiteHost(5), SiteHost(1)); p != (LinkProfile{}) {
+		t.Fatalf("out-of-range site profile %+v, want perfect", p)
+	}
+}
+
+// TestTenantSiteLinks pins the multi-tenant link model: each tenant's
+// sites see that tenant's own cost matrix, cross-tenant and
+// control-plane links are perfect, and tenant 0 hosts (plain site
+// names) resolve through costs[0].
 func TestTenantSiteLinks(t *testing.T) {
 	costs := [][][]float64{
 		{{0, 40}, {40, 0}},
@@ -306,20 +326,6 @@ func TestTenantSiteLinks(t *testing.T) {
 	links := TenantSiteLinks(costs, LinkProfile{JitterMs: 2, Loss: 0.01})
 	if p := links(TenantSiteHost(0, 0), TenantSiteHost(0, 1)); p.LatencyMs != 40 || p.JitterMs != 2 {
 		t.Fatalf("tenant 0 link profile %+v", p)
-	}
-	// A single-tenant fabric: one matrix, plain site names.
-	single := TenantSiteLinks(costs[:1], LinkProfile{JitterMs: 2, Loss: 0.01})
-	if p := single(SiteHost(0), SiteHost(1)); p.LatencyMs != 40 || p.JitterMs != 2 || p.Loss != 0.01 {
-		t.Fatalf("site link profile %+v", p)
-	}
-	if p := single(ServerHost, SiteHost(1)); p != (LinkProfile{}) {
-		t.Fatalf("server link profile %+v, want perfect", p)
-	}
-	if p := single(SiteHost(0), SiteHost(0)); p != (LinkProfile{}) {
-		t.Fatalf("self link profile %+v, want perfect", p)
-	}
-	if p := single(SiteHost(5), SiteHost(1)); p != (LinkProfile{}) {
-		t.Fatalf("out-of-range site profile %+v, want perfect", p)
 	}
 	if p := links(TenantSiteHost(1, 0), TenantSiteHost(1, 1)); p.LatencyMs != 90 || p.Loss != 0.01 {
 		t.Fatalf("tenant 1 link profile %+v", p)
