@@ -1,18 +1,19 @@
 // Command ticluster boots a complete emulated N-site tele-immersive
 // session in one process: a membership server plus N rendezvous points,
-// with WAN latency emulated from real geographic distances.
+// with overlay costs derived from real geographic distances.
 // Subscriptions are derived from per-display fields of view via the
 // session package, so the whole Figure 3 pipeline runs end to end.
 //
 // Two fabrics are available. The default runs every connection over real
-// loopback TCP (session.RunLive, no churn). With -virtual the identical
-// protocol stack runs over an in-memory transport fabric instead — no
-// kernel sockets — through session.RunCluster, which scales to
-// thousands of nodes in one process and unlocks the scenario library
-// (-scenario): flash crowds, regional partitions, correlated churn and
-// slow-link degradation, each replayed over the wire with disruption
-// latency measured from real deliveries and cross-checked against the
-// event-driven simulator. -tenants / -tenantspec serve several tenant
+// loopback TCP (session.RunLive, no churn), which adds no modelled WAN
+// latency. With -virtual the identical protocol stack runs over an
+// in-memory transport fabric whose links carry those geographic
+// latencies — no kernel sockets — through session.RunCluster, which
+// scales to thousands of nodes in one process and unlocks the scenario
+// library (-scenario): flash crowds, regional partitions, correlated
+// churn and slow-link degradation, each replayed over the wire with
+// disruption latency measured from real deliveries and cross-checked
+// against the event-driven simulator. -tenants / -tenantspec serve several tenant
 // sessions over the one fabric with shared uplink admission. Virtual
 // runs emit the same CSV/JSONL records as tisweep (-csv/-jsonl), one
 // per tenant, so both tools feed one analysis pipeline. A virtual-only

@@ -1,8 +1,10 @@
 // Dance: a TEEVE-style collaborative-dance session (the application that
 // motivated the paper) running on the real data plane. Three sites —
 // think Urbana, Berkeley and a remote audience — exchange live synthetic
-// 3D streams over loopback TCP with emulated WAN latency, using the
-// overlay forest dictated by the membership server.
+// 3D streams over an in-process virtual network whose links carry the
+// sites' one-way WAN latencies, using the overlay forest dictated by the
+// membership server. The reported latencies therefore reflect the cost
+// matrix the overlay was built against.
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"github.com/tele3d/tele3d/internal/overlay"
 	"github.com/tele3d/tele3d/internal/rp"
 	"github.com/tele3d/tele3d/internal/stream"
+	"github.com/tele3d/tele3d/internal/transport"
 )
 
 func main() {
@@ -26,6 +29,11 @@ func main() {
 		{28, 0, 35},
 		{12, 35, 0},
 	}
+	// The WAN between the sites: every site-to-site link carries its
+	// cost-matrix latency.
+	fabric := transport.NewVirtualNetwork(transport.VirtualConfig{
+		Links: transport.TenantSiteLinks([][][]float64{cost}, transport.LinkProfile{}),
+	})
 	// Each dancer site runs 4 cameras; every site wants the two front
 	// cameras of both other sites (the dancers' faces).
 	subs := [][]stream.ID{
@@ -36,6 +44,7 @@ func main() {
 
 	srv, err := membership.New(membership.Config{
 		N: 3, Cost: cost, Bcost: 120, Algorithm: overlay.CORJ{}, Seed: 9,
+		Network: fabric.Host(transport.ServerHost),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -57,6 +66,7 @@ func main() {
 			In: 20, Out: 20,
 			Cameras: 4, Profile: profile, Seed: int64(i),
 			Subscriptions: subs[i],
+			Network:       fabric.Host(transport.SiteHost(i)),
 		})
 		if err != nil {
 			log.Fatal(err)

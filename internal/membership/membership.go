@@ -52,8 +52,8 @@ import (
 type Config struct {
 	// N is the number of sites expected to register.
 	N int
-	// Cost is the pairwise one-way latency matrix among sites; it is both
-	// the overlay edge cost and the WAN delay the RPs emulate.
+	// Cost is the pairwise one-way latency matrix among sites: the
+	// overlay edge cost the forest is built against.
 	Cost [][]float64
 	// Bcost is the latency bound for the forest construction.
 	Bcost float64
@@ -112,13 +112,10 @@ type Server struct {
 	// cur is the last full routing table dictated to each site; deltas
 	// are computed against it.
 	cur map[int]*transport.Routes
-	// meshPeers and meshDelays are the session's static mesh: peer dial
-	// addresses and per-site delay maps are fixed at registration, so
-	// every routing rebuild shares these maps instead of reallocating
-	// O(N^2) entries per churn event — the dominant control-plane cost
-	// at cluster scale.
-	meshPeers  map[int]string
-	meshDelays map[int]map[int]float64
+	// meshPeers is the session's static mesh: peer dial addresses are
+	// fixed at registration, so every routing rebuild shares this map
+	// instead of reallocating O(N^2) entries per churn event.
+	meshPeers map[int]string
 	// epoch is the shard's routing-table version; bumped once per flush.
 	epoch uint64
 	// epochFloor is the highest epoch any registering site reported
@@ -560,12 +557,12 @@ func (s *Server) computeAndDistribute() error {
 }
 
 // stripMesh returns a copy of the table without the static mesh
-// (Peers/DelayMs). RPs never replace their mesh from a resync — it is
+// (Peers). RPs never replace their mesh from a resync — it is
 // registration-time state — so full tables sent to re-registering sites
 // omit it.
 func stripMesh(r *transport.Routes) *transport.Routes {
 	c := *r
-	c.Peers, c.DelayMs = nil, nil
+	c.Peers = nil
 	return &c
 }
 
@@ -801,16 +798,6 @@ func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 		for i, st := range s.sites {
 			s.meshPeers[i] = st.hello.Addr
 		}
-		s.meshDelays = make(map[int]map[int]float64, s.cfg.N)
-		for i := 0; i < s.cfg.N; i++ {
-			delays := make(map[int]float64, s.cfg.N-1)
-			for j := 0; j < s.cfg.N; j++ {
-				if j != i {
-					delays[j] = s.cfg.Cost[i][j]
-				}
-			}
-			s.meshDelays[i] = delays
-		}
 	}
 	out := make(map[int]*transport.Routes, s.cfg.N)
 	for i := 0; i < s.cfg.N; i++ {
@@ -821,7 +808,6 @@ func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 			Shards:    s.cfg.Shards,
 			Directory: s.directory,
 			Peers:     s.meshPeers,
-			DelayMs:   s.meshDelays[i],
 			Forward:   nil,
 		}
 	}
@@ -896,9 +882,9 @@ func diffRoutes(old, new *transport.Routes) *transport.RoutesUpdate {
 	u.AddRejected, u.DelRejected = diffIDs(old.Rejected, new.Rejected)
 	changed = changed || len(u.AddAccepted)+len(u.DelAccepted)+len(u.AddRejected)+len(u.DelRejected) > 0
 
-	// Peers and DelayMs are registration-time state shared by every
-	// rebuilt table (buildRoutes), so resubscriptions can never change
-	// them — no need to compare O(N) mesh entries per site per event.
+	// Peers is registration-time state shared by every rebuilt table
+	// (buildRoutes), so resubscriptions can never change it — no need
+	// to compare O(N) mesh entries per site per event.
 	if !changed {
 		return nil
 	}

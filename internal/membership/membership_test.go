@@ -108,9 +108,6 @@ func TestServeComputesAndDistributesRoutes(t *testing.T) {
 	if m0.Routes.Peers[1] != "127.0.0.1:2222" {
 		t.Errorf("peers = %v", m0.Routes.Peers)
 	}
-	if m0.Routes.DelayMs[1] != 7 {
-		t.Errorf("delay = %v", m0.Routes.DelayMs)
-	}
 	if len(m1.Routes.Accepted) != 1 || len(m1.Routes.Rejected) != 0 {
 		t.Errorf("site 1 accepted/rejected = %v / %v", m1.Routes.Accepted, m1.Routes.Rejected)
 	}

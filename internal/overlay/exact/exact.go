@@ -157,7 +157,7 @@ func (s *solver) feasible() bool {
 	}
 	for id, m := range byStream {
 		src := id.Site
-		for child, nd := range m {
+		for child := range m {
 			// Walk to the source accumulating cost.
 			cost := 0.0
 			cur := child
@@ -182,7 +182,6 @@ func (s *solver) feasible() bool {
 			if cost >= s.p.Bcost {
 				return false
 			}
-			_ = nd
 		}
 	}
 	return true
@@ -225,8 +224,6 @@ func BuildForest(p *overlay.Problem, res *Result) (*overlay.Forest, error) {
 	// Record the rejections.
 	for _, r := range p.Requests {
 		if _, ok := res.Parents[r]; !ok {
-			tr := f.Tree(r.Stream)
-			_ = tr
 			if got := f.Join(r); got == overlay.Joined {
 				// The optimum said reject but capacity allows a join:
 				// impossible if res is optimal, but tolerate by keeping

@@ -132,8 +132,7 @@ func payloadHash(p []byte) uint64 {
 }
 
 // bootRelayTree starts the session on the virtual fabric or, with
-// virtual false, on loopback TCP (where each node emulates the 1 ms edge
-// delay itself, so the delay queue and its timer run too).
+// virtual false, on loopback TCP.
 func bootRelayTree(t *testing.T, virtual bool, ticks int) *relayTree {
 	t.Helper()
 	cost := make([][]float64, treeSites)
@@ -145,7 +144,7 @@ func bootRelayTree(t *testing.T, virtual bool, ticks int) *relayTree {
 			}
 		}
 	}
-	host := func(string) transport.Network { return transport.TCPNetwork{DialTimeout: transport.DefaultDialTimeout} }
+	host := tcpFabric.Host
 	if virtual {
 		host = transport.NewVirtualNetwork(transport.VirtualConfig{Seed: 3}).Host
 	}
@@ -310,8 +309,8 @@ func testPayloadIntegrity(t *testing.T, virtual bool) {
 // fabric, where sealed bytes cross a hop by reference.
 func TestPayloadIntegrityVirtual(t *testing.T) { testPayloadIntegrity(t, true) }
 
-// TestPayloadIntegrityTCP runs the same tree over loopback sockets with
-// the node's own delay queue in the path.
+// TestPayloadIntegrityTCP runs the same tree over loopback sockets, where
+// every hop's sealed bytes cross a kernel socket.
 func TestPayloadIntegrityTCP(t *testing.T) { testPayloadIntegrity(t, false) }
 
 // TestEveryReceivedFrameCountedOnce publishes while three subscribers —

@@ -24,12 +24,6 @@
 // the edge). The successor's full shard table (MsgRoutes) resynchronizes
 // the node and settles any resubscriptions left in flight by the crash.
 //
-// WAN latency is emulated per overlay edge: frames queued toward a peer
-// are released only after the edge's one-way delay (derived from the
-// geographic cost matrix) has elapsed, so end-to-end delivery latencies
-// observed on loopback reproduce the wide-area behaviour the overlay was
-// optimized for.
-//
 // A frame is immutable wire bytes, created once: PublishTick seals each
 // captured frame in the buffer its payload was generated into, a
 // receiving node reads a frame into one buffer that the delivered
@@ -41,11 +35,12 @@
 // their payloads) are therefore read-only once published or delivered;
 // stream.Frame.Clone is the way to get one that may be changed.
 //
-// All listening and dialing goes through a transport.Network: the
-// default TCP fabric preserves the loopback behaviour above, while a
-// WAN-emulating fabric (transport.VirtualNetwork) carries the edge
-// delay itself — the node detects this via Network.EmulatesWAN and
-// skips its own delay queue so latency is never applied twice.
+// All listening and dialing goes through a transport.Network, and the
+// node adds no latency of its own: a frame is written as soon as it is
+// routed. WAN latency is a property of the fabric — real TCP carries
+// whatever the network between the sites imposes, and
+// transport.VirtualNetwork applies each link's modelled one-way delay
+// (typically the overlay cost matrix, see transport.TenantSiteLinks).
 package rp
 
 import (
@@ -93,10 +88,8 @@ type Config struct {
 
 	// Network is the transport fabric the node listens and dials on; nil
 	// means real TCP (transport.TCPNetwork with the default dial
-	// timeout). When the fabric emulates WAN latency itself
-	// (Network.EmulatesWAN), the node does not add its own per-edge
-	// delay on outgoing frames — the delay would otherwise be applied
-	// twice.
+	// timeout). Any WAN latency between sites is the fabric's: the node
+	// writes each frame as soon as it is routed.
 	Network transport.Network
 
 	// Tenant identifies the session this node serves in a multi-tenant
@@ -440,21 +433,11 @@ type peerConnState struct {
 	dead       bool
 }
 
-// peerLink is an outgoing connection with WAN delay emulation.
+// peerLink is an outgoing connection to one peer site, drained by run.
 type peerLink struct {
 	conn  net.Conn
-	delay time.Duration // 0 on a WAN-emulating fabric: no delay queue
-	born  time.Time     // origin of timedFrame.due
-	queue chan timedFrame
-	err   error // write error; set by run before it returns
-}
-
-// timedFrame is one sealed frame message queued toward a peer. due is
-// when it may be written, as an offset from the link's birth; it is set
-// and read only on a link that emulates the edge delay itself.
-type timedFrame struct {
-	msg []byte
-	due time.Duration
+	queue chan []byte // sealed frame messages
+	err   error       // write error; set by run before it returns
 }
 
 // New creates an RP node; Start must be called before use.
@@ -757,9 +740,8 @@ func (n *Node) installShardRoutes(routes []*transport.Routes) {
 		}
 		if merged.Peers == nil {
 			// The peer mesh is registration-time state identical across
-			// shards; share the first shard's maps.
+			// shards; share the first shard's map.
 			merged.Peers = r.Peers
-			merged.DelayMs = r.DelayMs
 		}
 		merged.Forward = append(merged.Forward, r.Forward...)
 		merged.Accepted = append(merged.Accepted, r.Accepted...)
@@ -940,14 +922,13 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 	}
 
 	// The peer mesh is registration-time state the server shares across
-	// rebuilds, so updates normally carry no Peers/DelayMs: share the
-	// current maps and copy only when a delta actually touches them —
-	// at cluster scale this is two O(N) map copies saved per update.
+	// rebuilds, so updates normally carry no Peers: share the current map
+	// and copy it only when a delta actually touches it — at cluster
+	// scale this is an O(N) map copy saved per update.
 	r := &transport.Routes{
-		Site:    cur.routes.Site,
-		Epoch:   u.Epoch,
-		Peers:   cur.routes.Peers,
-		DelayMs: cur.routes.DelayMs,
+		Site:  cur.routes.Site,
+		Epoch: u.Epoch,
+		Peers: cur.routes.Peers,
 	}
 	if len(u.Peers) > 0 {
 		r.Peers = make(map[int]string, len(cur.routes.Peers))
@@ -967,15 +948,6 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 				}
 			}
 			r.Peers[k] = v
-		}
-	}
-	if len(u.DelayMs) > 0 {
-		r.DelayMs = make(map[int]float64, len(cur.routes.DelayMs))
-		for k, v := range cur.routes.DelayMs {
-			r.DelayMs[k] = v
-		}
-		for k, v := range u.DelayMs {
-			r.DelayMs[k] = v
 		}
 	}
 
@@ -1078,10 +1050,9 @@ func (n *Node) applySync(r *transport.Routes) {
 	owned := func(id stream.ID) bool { return transport.TenantStreamShard(n.cfg.Tenant, id, shards) == k }
 
 	merged := &transport.Routes{
-		Site:    cur.routes.Site,
-		Epoch:   cur.epoch,
-		Peers:   cur.routes.Peers,
-		DelayMs: cur.routes.DelayMs,
+		Site:  cur.routes.Site,
+		Epoch: cur.epoch,
+		Peers: cur.routes.Peers,
 	}
 	streams := make(map[stream.ID]streamRoute, len(cur.streams))
 	for id, sr := range cur.streams {
@@ -1443,17 +1414,7 @@ func (n *Node) dialPeer(site int, tbl *routingTable) (*peerLink, error) {
 		conn.Close()
 		return nil, err
 	}
-	// On a WAN-emulating fabric the link itself carries the edge delay.
-	delay := time.Duration(tbl.routes.DelayMs[site] * float64(time.Millisecond))
-	if n.cfg.Network.EmulatesWAN() {
-		delay = 0
-	}
-	link := &peerLink{
-		conn:  conn,
-		delay: delay,
-		born:  time.Now(),
-		queue: make(chan timedFrame, 1024),
-	}
+	link := &peerLink{conn: conn, queue: make(chan []byte, 1024)}
 	n.mu.Lock()
 	if existing := n.peerLinks()[site]; existing != nil {
 		n.mu.Unlock()
@@ -1553,50 +1514,27 @@ func (n *Node) recordErr(err error) {
 	n.mu.Unlock()
 }
 
-// send schedules a sealed frame message for delivery after the edge's
-// WAN delay. Frames are dropped (with no error) if the link queue
-// overflows, matching real video transport under congestion.
+// send queues a sealed frame message toward the peer. Frames are dropped
+// (with no error) if the link queue overflows, matching real video
+// transport under congestion.
 func (l *peerLink) send(msg []byte) {
-	tf := timedFrame{msg: msg}
-	if l.delay > 0 {
-		tf.due = time.Since(l.born) + l.delay
-	}
 	select {
-	case l.queue <- tf:
+	case l.queue <- msg:
 	default:
 	}
 }
 
-// run drains the delay queue in order; the constant per-edge delay keeps
-// the queue sorted by due time. Each frame is one Write of the shared,
+// run writes queued frames in order, each as one Write of the shared,
 // already sealed bytes. A write failure is recorded in l.err before run
 // returns, so the spawning goroutine can surface it.
 func (l *peerLink) run(ctx context.Context) {
 	defer l.conn.Close()
-	var timer *time.Timer // the link's one timer; nil until a frame has to wait
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case tf := <-l.queue:
-			if l.delay > 0 {
-				if wait := tf.due - time.Since(l.born); wait > 0 {
-					// Reset is safe: every earlier wait either drained
-					// timer.C or ended run.
-					if timer == nil {
-						timer = time.NewTimer(wait)
-						defer timer.Stop()
-					} else {
-						timer.Reset(wait)
-					}
-					select {
-					case <-ctx.Done():
-						return
-					case <-timer.C:
-					}
-				}
-			}
-			if err := transport.WriteSealed(l.conn, tf.msg); err != nil {
+		case msg := <-l.queue:
+			if err := transport.WriteSealed(l.conn, msg); err != nil {
 				if ctx.Err() == nil {
 					l.err = err
 				}

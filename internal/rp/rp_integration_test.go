@@ -34,18 +34,33 @@ func pollUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// startSession boots a membership server and N RPs on loopback and waits
+// tcpFabric is loopback TCP: frames see the real network's latency only.
+var tcpFabric = transport.TCPFabric{DialTimeout: transport.DefaultDialTimeout}
+
+// wanFabric is a virtual fabric whose site-to-site links carry cost as
+// their one-way latency — the paper's WAN between the sites.
+func wanFabric(cost [][]float64) *transport.VirtualNetwork {
+	return transport.NewVirtualNetwork(transport.VirtualConfig{
+		Links: transport.TenantSiteLinks([][][]float64{cost}, transport.LinkProfile{}),
+	})
+}
+
+// startSession boots a membership server and N RPs on fab and waits
 // until every RP has its routing table.
-func startSession(t *testing.T, cost [][]float64, bcost float64, subs [][]stream.ID, cameras int) (*membership.Server, []*Node, context.CancelFunc) {
+func startSession(t *testing.T, fab transport.Fabric, cost [][]float64, bcost float64, subs [][]stream.ID, cameras int) (*membership.Server, []*Node, context.CancelFunc) {
 	t.Helper()
 	return startSessionWith(t,
-		membership.Config{N: len(cost), Cost: cost, Bcost: bcost, Algorithm: overlay.RJ{}, Seed: 7},
+		membership.Config{
+			N: len(cost), Cost: cost, Bcost: bcost, Algorithm: overlay.RJ{}, Seed: 7,
+			Network: fab.Host(transport.ServerHost),
+		},
 		func(i int, membershipAddr string) Config {
 			return Config{
 				Site: i, Membership: membershipAddr,
 				In: 50, Out: 50,
 				Cameras: cameras, Profile: testProfile(), Seed: int64(100 + i),
 				Subscriptions: subs[i],
+				Network:       fab.Host(transport.SiteHost(i)),
 			}
 		})
 }
@@ -97,18 +112,36 @@ func startSessionWith(t *testing.T, mcfg membership.Config, nodeCfg func(site in
 	return srv, nodes, cleanup
 }
 
+// TestThreeSiteSessionDeliversSubscribedStreams runs one session per
+// fabric. WAN latency is the fabric's alone: on the virtual fabric every
+// stream takes at least its link's modelled delay, and on loopback TCP,
+// where the RPs add none, every stream arrives faster than the cost the
+// overlay was built against.
 func TestThreeSiteSessionDeliversSubscribedStreams(t *testing.T) {
 	cost := [][]float64{
 		{0, 10, 20},
 		{10, 0, 15},
 		{20, 15, 0},
 	}
+	for _, tc := range []struct {
+		name    string
+		fab     transport.Fabric
+		modeled bool // the fabric applies cost as link latency
+	}{
+		{"virtual", wanFabric(cost), true},
+		{"tcp", tcpFabric, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testThreeSiteSession(t, tc.fab, cost, tc.modeled) })
+	}
+}
+
+func testThreeSiteSession(t *testing.T, fab transport.Fabric, cost [][]float64, modeled bool) {
 	subs := [][]stream.ID{
 		{{Site: 1, Index: 0}, {Site: 2, Index: 1}},
 		{{Site: 0, Index: 0}},
 		{{Site: 0, Index: 0}, {Site: 1, Index: 1}},
 	}
-	srv, nodes, cleanup := startSession(t, cost, 200, subs, 2)
+	srv, nodes, cleanup := startSession(t, fab, cost, 200, subs, 2)
 	defer cleanup()
 
 	f := srv.Forest()
@@ -128,7 +161,7 @@ func TestThreeSiteSessionDeliversSubscribedStreams(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Wait for in-flight frames (max edge delay 20ms, possibly 2 hops)
+	// Wait for in-flight frames (max link latency 20ms, possibly 2 hops)
 	// to drain: every subscription must reach the half-delivery floor the
 	// assertions below demand.
 	pollUntil(t, 5*time.Second, "subscribed frames to drain", func() bool {
@@ -154,12 +187,18 @@ func TestThreeSiteSessionDeliversSubscribedStreams(t *testing.T) {
 			if st.Frames < ticks/2 {
 				t.Errorf("site %d received only %d/%d frames of %v", i, st.Frames, ticks, want)
 			}
-			// Latency must be at least the emulated one-way delay to the
-			// source and below the latency bound plus slack.
-			minDelay := cost[want.Site][i] * 0.5
-			if st.MeanLatMs < minDelay {
-				t.Errorf("site %d stream %v mean latency %.1fms below emulated delay %.1fms",
-					i, want, st.MeanLatMs, minDelay)
+			// On the modelled WAN, latency must be at least the link's
+			// one-way delay to the source; on TCP no node may hold a
+			// frame for that delay. Either way it stays below the
+			// latency bound plus slack.
+			if modeled {
+				if minDelay := cost[want.Site][i] * 0.5; st.MeanLatMs < minDelay {
+					t.Errorf("site %d stream %v mean latency %.1fms below link latency %.1fms",
+						i, want, st.MeanLatMs, minDelay)
+				}
+			} else if st.MeanLatMs >= cost[want.Site][i] {
+				t.Errorf("site %d stream %v mean latency %.1fms on TCP: the modelled %.0fms was added",
+					i, want, st.MeanLatMs, cost[want.Site][i])
 			}
 			if st.MeanLatMs > 200 {
 				t.Errorf("site %d stream %v mean latency %.1fms exceeds bound", i, want, st.MeanLatMs)
@@ -193,8 +232,10 @@ func TestRelayedDeliveryThroughIntermediateRP(t *testing.T) {
 		{{Site: 0, Index: 0}},
 	}
 	n := 3
+	fab := wanFabric(cost)
 	srv, err := membership.New(membership.Config{
 		N: n, Cost: cost, Bcost: 100, Algorithm: overlay.RJ{}, Seed: 3,
+		Network: fab.Host(transport.ServerHost),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +254,7 @@ func TestRelayedDeliveryThroughIntermediateRP(t *testing.T) {
 			In: 50, Out: outs[i],
 			Cameras: 1, Profile: testProfile(), Seed: int64(i),
 			Subscriptions: subs[i],
+			Network:       fab.Host(transport.SiteHost(i)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +311,7 @@ func TestRelayedDeliveryThroughIntermediateRP(t *testing.T) {
 	if relayStats.Frames == 0 || farStats.Frames == 0 {
 		t.Fatalf("relay got %d frames, far got %d", relayStats.Frames, farStats.Frames)
 	}
-	// The far node's frames crossed two emulated 10ms edges.
+	// The far node's frames crossed two modelled 10ms links.
 	if farStats.MeanLatMs < relayStats.MeanLatMs {
 		t.Errorf("two-hop latency %.1fms not above one-hop %.1fms", farStats.MeanLatMs, relayStats.MeanLatMs)
 	}
@@ -605,7 +647,7 @@ func TestStaleRoutesUpdateDropped(t *testing.T) {
 func TestSeveredPeerLinkSurfacesError(t *testing.T) {
 	cost := [][]float64{{0, 5}, {5, 0}}
 	subs := [][]stream.ID{nil, {{Site: 0, Index: 0}}}
-	_, nodes, cleanup := startSession(t, cost, 100, subs, 1)
+	_, nodes, cleanup := startSession(t, tcpFabric, cost, 100, subs, 1)
 	defer cleanup()
 
 	// Prime the link — wait for a frame to actually cross it — then

@@ -1,16 +1,17 @@
 package session
 
 // live.go drives a session over the real networked control and data
-// plane: a membership server plus one rendezvous point per site on
-// loopback TCP, with the same churn traces the event-driven simulator
-// replays. Events are applied mid-session over the wire (MsgResubscribe
-// → MsgRoutesUpdate deltas), frames keep flowing while routing tables
-// hot-swap, and per-event disruption latency — view change to first
-// delivered frame of each newly needed stream — is measured from real
-// wall-clock deliveries. SimPrediction builds the exact forest the
-// membership server will construct and runs sim.RunEvents over the same
-// trace, so live measurements can be cross-checked against the
-// simulator's figure (see LiveSimToleranceMs).
+// plane: a membership server plus one rendezvous point per site on a
+// transport fabric — loopback TCP by default, or a virtual network whose
+// links carry the modelled WAN latency — with the same churn traces the
+// event-driven simulator replays. Events are applied mid-session over
+// the wire (MsgResubscribe → MsgRoutesUpdate deltas), frames keep
+// flowing while routing tables hot-swap, and per-event disruption
+// latency — view change to first delivered frame of each newly needed
+// stream — is measured from real wall-clock deliveries. SimPrediction
+// builds the exact forest the membership server will construct and runs
+// sim.RunEvents over the same trace, so live measurements can be
+// cross-checked against the simulator's figure (see LiveSimToleranceMs).
 
 import (
 	"context"
@@ -35,8 +36,12 @@ import (
 // sim.RunEvents predicts for the same trace. The live plane adds the
 // control round-trip (loopback, single-digit ms), up to one frame
 // interval of capture-schedule skew, and OS scheduling noise; the
-// simulator adds none of these. The integration test asserts the two
-// means agree within this bound.
+// simulator adds none of these. On TCP the live figure carries real
+// loopback latency only — no modelled path latency, which only a virtual
+// fabric applies — while the simulator's includes each path's cost, so
+// the live mean may also sit below the prediction by up to a path's
+// latency. The integration test asserts the two means agree within this
+// bound.
 const LiveSimToleranceMs = 300
 
 // LiveConfig parameterizes a live run.
@@ -55,10 +60,11 @@ type LiveConfig struct {
 	// listening for in-flight deliveries; 0 means 400.
 	DrainMs float64
 	// Fabric supplies the transport substrate: nil means real TCP
-	// loopback (the pre-fabric behaviour). Pass a
+	// loopback, which carries no modelled WAN latency. Pass a
 	// transport.VirtualNetwork to run the identical protocol stack over
-	// in-memory links with emulated WAN latency — the path that scales
-	// to thousand-node clusters in one process (see RunCluster).
+	// in-memory links that apply each link's modelled latency — the
+	// path that scales to thousand-node clusters in one process (see
+	// RunCluster).
 	Fabric transport.Fabric
 	// DeliveryBuffer overrides each RP's local display queue bound;
 	// 0 means 8192.

@@ -33,10 +33,6 @@ type Network interface {
 	// DialContext connects to a listener's address, honouring ctx
 	// cancellation and deadline throughout connection establishment.
 	DialContext(ctx context.Context, addr string) (net.Conn, error)
-	// EmulatesWAN reports whether the fabric itself imposes per-link
-	// WAN latency. When true, the RP layer must not add its own emulated
-	// edge delay on top (the delay would be applied twice).
-	EmulatesWAN() bool
 }
 
 // Fabric hands out the per-endpoint Network views of one underlying
@@ -148,9 +144,9 @@ func SiteHost(i int) string {
 }
 
 // TCPNetwork is the real-TCP transport fabric: Listen and DialContext map
-// directly onto the kernel's TCP stack, preserving the pre-fabric
-// behaviour of the networked plane byte for byte. The zero value dials
-// with no timeout beyond the caller's context.
+// directly onto the kernel's TCP stack and add no modelled latency, so
+// frames see the real network's delay only. The zero value dials with no
+// timeout beyond the caller's context.
 type TCPNetwork struct {
 	// DialTimeout, when positive, bounds each dial even if the caller's
 	// context has no deadline. DefaultDialTimeout is the conventional
@@ -174,10 +170,6 @@ func (t TCPNetwork) DialContext(ctx context.Context, addr string) (net.Conn, err
 	var d net.Dialer
 	return d.DialContext(ctx, "tcp", addr)
 }
-
-// EmulatesWAN reports false: real TCP carries no emulated link latency,
-// so the RP layer keeps applying its own per-edge WAN delay.
-func (TCPNetwork) EmulatesWAN() bool { return false }
 
 // TCPFabric is the Fabric of the real TCP stack: every host shares the
 // same kernel network, so Host returns the same TCPNetwork regardless of

@@ -13,9 +13,6 @@ import (
 func TestTCPNetworkRoundTrip(t *testing.T) {
 	fab := TCPFabric{DialTimeout: DefaultDialTimeout}
 	nw := fab.Host("anything")
-	if nw.EmulatesWAN() {
-		t.Fatal("TCP fabric claims to emulate WAN latency")
-	}
 	ln, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

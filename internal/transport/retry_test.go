@@ -72,7 +72,6 @@ type flakyNetwork struct {
 }
 
 func (f *flakyNetwork) Listen(string) (net.Listener, error) { return nil, errors.New("not used") }
-func (f *flakyNetwork) EmulatesWAN() bool                   { return false }
 func (f *flakyNetwork) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 	if f.dials.Add(1) <= f.failures {
 		return nil, fmt.Errorf("dial %s: connection refused", addr)

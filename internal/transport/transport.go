@@ -130,10 +130,10 @@ type RoutesUpdate struct {
 	DelAccepted []stream.ID `json:"delAccepted,omitempty"`
 	AddRejected []stream.ID `json:"addRejected,omitempty"`
 	DelRejected []stream.ID `json:"delRejected,omitempty"`
-	// Peers and DelayMs merge new or changed peer addresses and edge
-	// delays into the RP's table (normally empty mid-session).
-	Peers   map[int]string  `json:"peers,omitempty"`
-	DelayMs map[int]float64 `json:"delayMs,omitempty"`
+	// Peers merges new or changed peer addresses into the RP's table
+	// (normally empty mid-session; a rejoined peer's new address). It
+	// carries addresses only: link latency is the fabric's.
+	Peers map[int]string `json:"peers,omitempty"`
 }
 
 // ProtocolError is the server's explanation for rejecting a control
@@ -162,9 +162,6 @@ type Routes struct {
 	Directory [][]string `json:"directory,omitempty"`
 	// Peers maps site index to its RP dial address.
 	Peers map[int]string `json:"peers"`
-	// DelayMs maps site index to the emulated one-way WAN latency applied
-	// to frames this RP sends toward that site.
-	DelayMs map[int]float64 `json:"delayMs"`
 	// Forward lists forwarding duties for streams this RP sources or
 	// receives.
 	Forward []Route `json:"forward"`

@@ -52,13 +52,12 @@ func TestRoutesRoundTrip(t *testing.T) {
 	r := &Routes{
 		Site:     1,
 		Peers:    map[int]string{0: "a:1", 2: "c:3"},
-		DelayMs:  map[int]float64{0: 12.5, 2: 80},
 		Forward:  []Route{{Stream: stream.ID{Site: 1, Index: 0}, Children: []int{0, 2}}},
 		Accepted: []stream.ID{{Site: 0, Index: 4}},
 		Rejected: []stream.ID{{Site: 2, Index: 9}},
 	}
 	m := roundTrip(t, &Message{Type: MsgRoutes, Routes: r})
-	if m.Routes.Peers[2] != "c:3" || m.Routes.DelayMs[0] != 12.5 {
+	if m.Routes.Peers[2] != "c:3" {
 		t.Errorf("routes = %+v", m.Routes)
 	}
 	if len(m.Routes.Forward) != 1 || len(m.Routes.Forward[0].Children) != 2 {
@@ -98,7 +97,6 @@ func TestRoutesUpdateRoundTrip(t *testing.T) {
 		DelAccepted: []stream.ID{{Site: 2, Index: 2}},
 		AddRejected: []stream.ID{{Site: 3, Index: 1}},
 		Peers:       map[int]string{3: "d:4"},
-		DelayMs:     map[int]float64{3: 44.5},
 	}
 	m := roundTrip(t, &Message{Type: MsgRoutesUpdate, Update: u})
 	got := m.Update
@@ -111,8 +109,8 @@ func TestRoutesUpdateRoundTrip(t *testing.T) {
 	if len(got.AddAccepted) != 1 || len(got.DelAccepted) != 1 || len(got.AddRejected) != 1 || len(got.DelRejected) != 0 {
 		t.Errorf("accept/reject deltas = %+v", got)
 	}
-	if got.Peers[3] != "d:4" || got.DelayMs[3] != 44.5 {
-		t.Errorf("peers/delays = %v / %v", got.Peers, got.DelayMs)
+	if got.Peers[3] != "d:4" {
+		t.Errorf("peers = %v", got.Peers)
 	}
 }
 

@@ -361,10 +361,6 @@ type VirtualHost struct {
 // Name returns the host's fabric name.
 func (h *VirtualHost) Name() string { return h.name }
 
-// EmulatesWAN reports true: the fabric applies per-link latency itself,
-// so the RP layer must not stack its own emulated edge delay on top.
-func (h *VirtualHost) EmulatesWAN() bool { return true }
-
 // Listen opens a listener on a fabric-assigned unique address
 // ("vnet://<host>/<n>"); the requested addr is ignored, mirroring how
 // ":0" asks the kernel for an ephemeral port.
