@@ -203,6 +203,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchChurn$$' -fuzztime 20s ./internal/overlay
 	$(GO) test -run '^$$' -fuzz '^FuzzSimEvents$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime 20s ./internal/rp
+	$(GO) test -run '^$$' -fuzz '^FuzzShardSync$$' -fuzztime 20s ./internal/rp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s ./internal/transport
 
 # cover prints per-package statement coverage for the internal tree; CI

@@ -150,7 +150,7 @@ type Server struct {
 	// pendingPeers holds mesh address changes (a site re-registered from
 	// a new listen address after a crash/rejoin) awaiting distribution:
 	// the next flush pushes them to every site as a Peers delta, since
-	// diffRoutes deliberately never compares the static mesh.
+	// transport.DiffRoutes deliberately never compares the static mesh.
 	pendingPeers map[int]string
 
 	// Ready is closed once routing tables have been sent to every RP.
@@ -448,9 +448,9 @@ func (s *Server) handle(conn net.Conn) {
 		if hello.Addr != old.hello.Addr && s.meshPeers != nil {
 			// A crash-rejoin from a fresh listen address: patch the cached
 			// mesh (shared by every table this server builds) and queue the
-			// change for distribution — diffRoutes never compares the
-			// static mesh, so peers only learn the new address through an
-			// explicit delta.
+			// change for distribution — transport.DiffRoutes never
+			// compares the static mesh, so peers only learn the new
+			// address through an explicit delta.
 			s.meshPeers[hello.Site] = hello.Addr
 			s.pendingPeers[hello.Site] = hello.Addr
 		}
@@ -657,11 +657,10 @@ func (s *Server) applyPendingLocked() {
 func (s *Server) reackLocked(site int, id uint64) {
 	if st := s.sites[site]; st != nil {
 		_ = st.write(&transport.Message{Type: transport.MsgRoutesUpdate, Update: &transport.RoutesUpdate{
-			Site:    site,
-			Epoch:   s.epoch,
-			Shard:   s.cfg.Shard,
-			Acks:    []transport.Ack{{ID: id}},
-			ReplyTo: id,
+			Site:  site,
+			Epoch: s.epoch,
+			Shard: s.cfg.Shard,
+			Acks:  []transport.Ack{{ID: id}},
 		}})
 	}
 }
@@ -760,7 +759,7 @@ func (s *Server) flushLocked(fullFor int, withMesh bool) {
 			}
 			continue
 		}
-		u := diffRoutes(s.cur[i], next[i])
+		u := transport.DiffRoutes(s.cur[i], next[i])
 		acks := s.pendingAcks[i]
 		if u == nil && len(acks) == 0 && peerPatch == nil {
 			continue
@@ -775,9 +774,6 @@ func (s *Server) flushLocked(fullFor int, withMesh bool) {
 		u.Shard = s.cfg.Shard
 		u.Acks = acks
 		u.Peers = peerPatch
-		if len(acks) == 1 {
-			u.ReplyTo = acks[0].ID
-		}
 		delete(s.pendingAcks, i)
 		s.cur[i] = next[i]
 		if st := s.sites[i]; st != nil {
@@ -839,89 +835,8 @@ func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 	}
 	for _, r := range out {
 		sort.Slice(r.Forward, func(a, b int) bool { return r.Forward[a].Stream.Less(r.Forward[b].Stream) })
-		sortIDs(r.Accepted)
-		sortIDs(r.Rejected)
+		stream.SortIDs(r.Accepted)
+		stream.SortIDs(r.Rejected)
 	}
 	return out
-}
-
-func sortIDs(ids []stream.ID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-}
-
-// diffRoutes computes the delta turning table old into table new for one
-// site, or nil when nothing changed. Epoch and acknowledgements are left
-// for the caller to fill.
-func diffRoutes(old, new *transport.Routes) *transport.RoutesUpdate {
-	u := &transport.RoutesUpdate{Site: new.Site}
-	changed := false
-
-	oldFw := make(map[stream.ID][]int, len(old.Forward))
-	for _, r := range old.Forward {
-		oldFw[r.Stream] = r.Children
-	}
-	newFw := make(map[stream.ID][]int, len(new.Forward))
-	for _, r := range new.Forward {
-		newFw[r.Stream] = r.Children
-	}
-	for _, r := range new.Forward {
-		if !equalInts(oldFw[r.Stream], r.Children) {
-			u.SetForward = append(u.SetForward, r)
-			changed = true
-		}
-	}
-	for id := range oldFw {
-		if _, ok := newFw[id]; !ok {
-			u.SetForward = append(u.SetForward, transport.Route{Stream: id})
-			changed = true
-		}
-	}
-	sort.Slice(u.SetForward, func(a, b int) bool { return u.SetForward[a].Stream.Less(u.SetForward[b].Stream) })
-
-	u.AddAccepted, u.DelAccepted = diffIDs(old.Accepted, new.Accepted)
-	u.AddRejected, u.DelRejected = diffIDs(old.Rejected, new.Rejected)
-	changed = changed || len(u.AddAccepted)+len(u.DelAccepted)+len(u.AddRejected)+len(u.DelRejected) > 0
-
-	// Peers is registration-time state shared by every rebuilt table
-	// (buildRoutes), so resubscriptions can never change it — no need
-	// to compare O(N) mesh entries per site per event.
-	if !changed {
-		return nil
-	}
-	return u
-}
-
-// diffIDs returns new-minus-old (added) and old-minus-new (removed).
-func diffIDs(old, new []stream.ID) (added, removed []stream.ID) {
-	oldSet := make(map[stream.ID]bool, len(old))
-	for _, id := range old {
-		oldSet[id] = true
-	}
-	newSet := make(map[stream.ID]bool, len(new))
-	for _, id := range new {
-		newSet[id] = true
-		if !oldSet[id] {
-			added = append(added, id)
-		}
-	}
-	for _, id := range old {
-		if !newSet[id] {
-			removed = append(removed, id)
-		}
-	}
-	sortIDs(added)
-	sortIDs(removed)
-	return added, removed
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -247,9 +247,6 @@ func awaitAck(t *testing.T, ch chan *transport.Message, id uint64) *transport.Ro
 			if m.Type != transport.MsgRoutesUpdate {
 				continue
 			}
-			if m.Update.ReplyTo == id {
-				return m.Update
-			}
 			for _, a := range m.Update.Acks {
 				if a.ID == id {
 					return m.Update

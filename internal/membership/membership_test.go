@@ -215,13 +215,13 @@ func TestResubscribeAppliesDiffAndPushesDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Site 2's acknowledgement: epoch 2, ReplyTo 9, the stream accepted.
+	// Site 2's acknowledgement: epoch 2, request 9 acked, the stream accepted.
 	m2, err := transport.ReadMessage(c2)
 	if err != nil || m2.Type != transport.MsgRoutesUpdate {
 		t.Fatalf("site 2 update: %v %v", m2, err)
 	}
-	if m2.Update.Epoch != 2 || m2.Update.ReplyTo != 9 {
-		t.Errorf("ack epoch/replyTo = %d/%d, want 2/9", m2.Update.Epoch, m2.Update.ReplyTo)
+	if m2.Update.Epoch != 2 || len(m2.Update.Acks) == 0 || m2.Update.Acks[0].ID != 9 {
+		t.Errorf("ack epoch/acks = %d/%+v, want 2/[9]", m2.Update.Epoch, m2.Update.Acks)
 	}
 	if len(m2.Update.AddAccepted) != 1 || m2.Update.AddAccepted[0] != s00 {
 		t.Errorf("ack addAccepted = %v", m2.Update.AddAccepted)

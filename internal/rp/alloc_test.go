@@ -47,7 +47,7 @@ func newRelayRig(t *testing.T, cameras int, forward []transport.Route, accepted 
 		}
 		t.Cleanup(func() { ln.Close() })
 		peers[child] = ln.Addr().String()
-		link := node.peer(child, &routingTable{routes: &transport.Routes{Peers: peers}})
+		link := node.peer(child, &routingTable{peers: peers})
 		if link == nil {
 			t.Fatalf("no link to child %d", child)
 		}

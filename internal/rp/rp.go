@@ -5,16 +5,20 @@
 //
 // The routing table is live: a control connection to each membership
 // shard stays open for the whole session, and epoch-versioned
-// RoutesUpdate deltas are applied by atomically hot-swapping an immutable
-// table snapshot while frames keep flowing. Epochs are per shard — the
-// node's snapshot is the disjoint union of every shard's directive, each
-// slice versioned independently. Every frame is routed under exactly one
-// snapshot (the one loaded when it arrives): a frame in flight for a
-// stream the site no longer accepts is discarded and counted as stale, a
-// frame already delivered under an earlier path is discarded as a
-// duplicate (per-stream sequence watermark), and the first delivered
-// frame of each newly gained stream is timestamped so the live plane
-// reports the same disruption-latency metric as sim.RunEvents.
+// RoutesUpdate deltas are applied by atomically hot-swapping an
+// immutable table snapshot while frames keep flowing. There is one
+// transition, the delta merge: a full shard table (at boot, from an
+// empty table, or a resync) is diffed against the slice held for its
+// shard with transport.DiffRoutes and applied as that delta. Epochs are
+// per shard — the node's snapshot is the disjoint union of every
+// shard's directive, each slice versioned independently. Every frame is
+// routed under exactly one snapshot (the one loaded when it arrives): a
+// frame in flight for a stream the site no longer accepts is discarded
+// and counted as stale, a frame already delivered under an earlier path
+// is discarded as a duplicate (per-stream sequence watermark), and the
+// first delivered frame of each newly gained stream is timestamped so
+// the live plane reports the same disruption-latency metric as
+// sim.RunEvents.
 //
 // When a shard's control connection dies and the session directory lists
 // a successor, the node fails over: it re-registers with the next listed
@@ -214,12 +218,14 @@ type ResubscribeResult struct {
 // versions and epoch their maximum. streams holds one entry per stream
 // the site accepts or forwards — everything the frame path needs to know
 // about the stream, found with one read of this immutable map and no
-// lock.
+// lock. rejected and peers are shared between snapshots until a delta
+// changes them.
 type routingTable struct {
-	epoch   uint64
-	epochs  []uint64
-	routes  *transport.Routes
-	streams map[stream.ID]streamRoute
+	epoch    uint64
+	epochs   []uint64
+	streams  map[stream.ID]streamRoute
+	rejected map[stream.ID]bool
+	peers    map[int]string
 }
 
 // streamRoute is a routing table's directive for one stream. It is kept
@@ -236,15 +242,6 @@ func (sr streamRoute) children() []int {
 		return nil
 	}
 	return sr.forward.Children
-}
-
-// forwardDuty returns the route as a table entry's forwarding duty: nil
-// when it names no children (which is how a delta clears a duty).
-func forwardDuty(route *transport.Route) *transport.Route {
-	if len(route.Children) == 0 {
-		return nil
-	}
-	return route
 }
 
 // streamSlot is one stream's receive-side state: delivery statistics
@@ -279,21 +276,6 @@ func (n *Node) slotLocked(id stream.ID) *streamSlot {
 	return s
 }
 
-// resolve finishes a merged stream map for a new snapshot: entries that
-// neither accept nor forward are dropped, and every remaining one gets
-// its slot (n.mu held).
-func (n *Node) resolve(streams map[stream.ID]streamRoute) {
-	for id, sr := range streams {
-		switch {
-		case !sr.accepted && sr.forward == nil:
-			delete(streams, id)
-		case sr.slot == nil:
-			sr.slot = n.slotLocked(id)
-			streams[id] = sr
-		}
-	}
-}
-
 // shardEpoch returns the table version held for one shard (0 if the
 // shard never delivered a table).
 func (t *routingTable) shardEpoch(k int) uint64 {
@@ -303,33 +285,28 @@ func (t *routingTable) shardEpoch(k int) uint64 {
 	return 0
 }
 
-// routeLists derives the wire-form Forward and Accepted lists of a
-// resolved stream map.
-func routeLists(streams map[stream.ID]streamRoute) (forward []transport.Route, accepted []stream.ID) {
-	var nf, na int
-	for _, sr := range streams {
+// wire returns the snapshot's forwarding duties, accepted and rejected
+// streams in wire form (in map order), restricted to the streams keep
+// admits, or all of them when keep is nil.
+func (t *routingTable) wire(keep func(stream.ID) bool) *transport.Routes {
+	r := &transport.Routes{}
+	for id, sr := range t.streams {
+		if keep != nil && !keep(id) {
+			continue
+		}
 		if sr.forward != nil {
-			nf++
+			r.Forward = append(r.Forward, *sr.forward)
 		}
 		if sr.accepted {
-			na++
+			r.Accepted = append(r.Accepted, id)
 		}
 	}
-	if nf > 0 {
-		forward = make([]transport.Route, 0, nf)
-	}
-	if na > 0 {
-		accepted = make([]stream.ID, 0, na)
-	}
-	for id, sr := range streams {
-		if sr.forward != nil {
-			forward = append(forward, *sr.forward)
-		}
-		if sr.accepted {
-			accepted = append(accepted, id)
+	for id := range t.rejected {
+		if keep == nil || keep(id) {
+			r.Rejected = append(r.Rejected, id)
 		}
 	}
-	return forward, accepted
+	return r
 }
 
 // gainMark tracks a newly accepted stream until its first delivery.
@@ -579,33 +556,43 @@ func (n *Node) Start(ctx context.Context) error {
 }
 
 // registerBoot performs a shard's initial registration. A single-entry
-// directory rides the full backoff schedule against the one server — the
-// legacy boot path, byte for byte. A failover-capable directory is swept
-// instead (single-attempt dials paced by the backoff policy, starting at
-// the primary): a node booting mid-session — a chaos rejoin — may find
-// the primary already restarted away, and the live server is then some
-// later directory entry. Dead entries fail the dial fast, so the sweep
-// converges on the live one within the same total patience budget.
+// directory rides the full backoff schedule against the one server. A
+// failover-capable directory is swept from the primary, with the
+// schedule's patience for each entry: a node booting mid-session (a chaos
+// rejoin) may find the primary restarted away and a later entry live.
 func (n *Node) registerBoot(ctx context.Context, shard int, addrs []string) (net.Conn, *transport.Routes, error) {
 	if len(addrs) == 1 {
 		return n.register(ctx, shard, addrs[0], false, n.backoff)
 	}
+	return n.sweep(ctx, shard, 0, len(addrs), false)
+}
+
+// sweep registers a shard with the servers its directory entry lists, in
+// turn from entry first and wrapping: one fast dial per round (a dead
+// server must not hold up the sweep to the next entry), rounds paced by
+// the shared backoff policy, every paced round counted as a retry. The
+// entry is re-read each round, and the sweep gives up after scale times
+// the policy's attempt budget, or when ctx ends.
+func (n *Node) sweep(ctx context.Context, shard, first, scale int, reregister bool) (net.Conn, *transport.Routes, error) {
 	oneShot := n.backoff
 	oneShot.Attempts = -1
 	attempts := n.backoff.Attempts
 	if attempts <= 0 {
 		attempts = transport.DefaultBackoffAttempts
 	}
-	attempts *= len(addrs)
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < attempts*scale; a++ {
 		if a > 0 {
 			if err := n.backoff.Sleep(ctx, a-1); err != nil {
 				return nil, nil, err
 			}
 			n.retry.Add(1)
 		}
-		conn, r, err := n.register(ctx, shard, addrs[a%len(addrs)], false, oneShot)
+		addrs := n.dirFor(shard)
+		if len(addrs) == 0 {
+			return nil, nil, fmt.Errorf("rp: site %d shard %d: empty directory entry", n.cfg.Site, shard)
+		}
+		conn, r, err := n.register(ctx, shard, addrs[(first+a)%len(addrs)], reregister, oneShot)
 		if err == nil {
 			return conn, r, nil
 		}
@@ -695,7 +682,7 @@ func (n *Node) desiredSnapshot() []stream.ID {
 		out = append(out, id)
 	}
 	n.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
+	stream.SortIDs(out)
 	return out
 }
 
@@ -703,13 +690,21 @@ func (n *Node) desiredSnapshot() []stream.ID {
 func (n *Node) table() *routingTable { return n.tbl.Load() }
 
 // Routes returns the installed routing table (nil before Start returns):
-// the union of every shard's directive. The returned value is a
-// snapshot: later updates never mutate it.
+// the union of every shard's directive at the highest shard epoch. It is
+// built from the current snapshot on every call, with Forward, Accepted
+// and Rejected sorted by stream as the membership server sends them;
+// later updates never mutate it, and callers must not mutate its Peers.
 func (n *Node) Routes() *transport.Routes {
-	if t := n.table(); t != nil {
-		return t.routes
+	t := n.table()
+	if t == nil {
+		return nil
 	}
-	return nil
+	r := t.wire(nil)
+	r.Site, r.Epoch, r.Peers = n.cfg.Site, t.epoch, t.peers
+	sort.Slice(r.Forward, func(a, b int) bool { return r.Forward[a].Stream.Less(r.Forward[b].Stream) })
+	stream.SortIDs(r.Accepted)
+	stream.SortIDs(r.Rejected)
+	return r
 }
 
 // Epoch returns the highest shard table version currently in effect
@@ -721,46 +716,15 @@ func (n *Node) Epoch() uint64 {
 	return 0
 }
 
-// installShardRoutes merges the initial per-shard tables into one
-// snapshot and opens the ready gate. The shard directives are disjoint
-// by stream ownership, so the merge is a plain union; the replicated
-// session directory carried in any table replaces the configured one.
+// installShardRoutes boots the routing state: the node starts from an
+// empty table, syncs each shard's initial table onto it in shard order
+// (routes[k] is shard k's), and opens the ready gate.
 func (n *Node) installShardRoutes(routes []*transport.Routes) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	epochs := make([]uint64, len(routes))
-	merged := &transport.Routes{Site: n.cfg.Site}
 	for k, r := range routes {
-		if r.Epoch == 0 {
-			r.Epoch = 1
-		}
-		epochs[k] = r.Epoch
-		if r.Epoch > merged.Epoch {
-			merged.Epoch = r.Epoch
-		}
-		if merged.Peers == nil {
-			// The peer mesh is registration-time state identical across
-			// shards; share the first shard's map.
-			merged.Peers = r.Peers
-		}
-		merged.Forward = append(merged.Forward, r.Forward...)
-		merged.Accepted = append(merged.Accepted, r.Accepted...)
-		merged.Rejected = append(merged.Rejected, r.Rejected...)
-		if len(r.Directory) == len(routes) {
-			n.dir = r.Directory
-		}
+		n.syncLocked(k, r)
 	}
-	streams := make(map[stream.ID]streamRoute, len(merged.Forward)+len(merged.Accepted))
-	for i := range merged.Forward {
-		streams[merged.Forward[i].Stream] = streamRoute{forward: forwardDuty(&merged.Forward[i])}
-	}
-	for _, id := range merged.Accepted {
-		sr := streams[id]
-		sr.accepted = true
-		streams[id] = sr
-	}
-	n.resolve(streams)
-	n.tbl.Store(&routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, streams: streams})
 	n.readyOnce.Do(func() { close(n.ready) })
 }
 
@@ -823,56 +787,28 @@ func (n *Node) dirFor(shard int) []string {
 	return n.dir[shard]
 }
 
-// failover re-registers the shard with successive addresses from the
-// session directory until one delivers a shard table, then swaps the
-// control link and resynchronizes. Each candidate gets a single fast
-// dial (a dead server must not hold up the sweep to the next standby);
-// the sweep itself is paced by the shared backoff policy, and every
-// paced round counts as a retry. Returns false when the node is
-// shutting down or every candidate failed.
+// failover re-registers the shard by sweeping the session directory
+// from the first standby (wrapping, so a recovered primary is also a
+// valid successor) until one server delivers a shard table, then swaps
+// the control link and resynchronizes. Each entry gets three times the
+// backoff schedule: the standby for a chaos restart may still be
+// computing its first tables while the node sweeps. Returns false when
+// the node is shutting down or every candidate failed.
 func (n *Node) failover(l *ctrlLink) bool {
 	detected := time.Now()
-	oneShot := n.backoff
-	oneShot.Attempts = -1
-	attempts := n.backoff.Attempts
-	if attempts <= 0 {
-		attempts = transport.DefaultBackoffAttempts
+	conn, routes, err := n.sweep(n.ctx, l.shard, 1, 3, true)
+	if err != nil {
+		if n.ctx.Err() == nil {
+			n.recordErr(fmt.Errorf("rp: site %d shard %d failover: no successor reachable", n.cfg.Site, l.shard))
+		}
+		return false
 	}
-	// Each directory candidate deserves the full schedule: the standby
-	// for a chaos restart may still be computing its first tables while
-	// the node sweeps.
-	attempts *= 3
-	for a := 0; a < attempts; a++ {
-		if n.ctx.Err() != nil {
-			return false
-		}
-		addrs := n.dirFor(l.shard)
-		if len(addrs) == 0 {
-			return false
-		}
-		// Start from the first standby; wrap through the whole list so a
-		// recovered primary is also a valid successor.
-		addr := addrs[(a+1)%len(addrs)]
-		conn, routes, err := n.register(n.ctx, l.shard, addr, true, oneShot)
-		if err == nil {
-			l.set(conn)
-			n.applySync(routes)
-			n.recordFailover(FailoverEvent{Shard: l.shard, Detected: detected, Restored: time.Now()})
-			return true
-		}
-		if err := n.backoff.Sleep(n.ctx, a); err != nil {
-			return false
-		}
-		n.retry.Add(1)
-	}
-	n.recordErr(fmt.Errorf("rp: site %d shard %d failover: no successor reachable", n.cfg.Site, l.shard))
-	return false
-}
-
-func (n *Node) recordFailover(ev FailoverEvent) {
+	l.set(conn)
+	n.applySync(routes)
 	n.mu.Lock()
-	n.failovers = append(n.failovers, ev)
+	n.failovers = append(n.failovers, FailoverEvent{Shard: l.shard, Detected: detected, Restored: time.Now()})
 	n.mu.Unlock()
+	return true
 }
 
 // resolveAcks settles resubscribe waiters from an update's folded-in
@@ -880,13 +816,7 @@ func (n *Node) recordFailover(ev FailoverEvent) {
 // an update whose table content is stale still answers its requesters
 // (a re-acknowledged duplicate carries the current epoch unchanged).
 func (n *Node) resolveAcks(u *transport.RoutesUpdate) {
-	acks := u.Acks
-	if len(acks) == 0 && u.ReplyTo != 0 {
-		// Legacy single-ack update: the delta's own Add sets are the
-		// requester's admission outcome.
-		acks = []transport.Ack{{ID: u.ReplyTo, Accepted: u.AddAccepted, Rejected: u.AddRejected}}
-	}
-	for _, a := range acks {
+	for _, a := range u.Acks {
 		n.mu.Lock()
 		req, ok := n.inflight[a.ID]
 		if ok {
@@ -907,39 +837,56 @@ func (n *Node) resolveAcks(u *transport.RoutesUpdate) {
 	}
 }
 
-// applyUpdate merges an epoch-versioned delta into a fresh routing
-// snapshot and swaps it in. Updates whose epoch is not newer than the
-// running table's slice for the sending shard are dropped
-// deterministically (a reordered or replayed delta must not roll the
-// table back).
+// applyUpdate applies a delta pushed by one shard.
 func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.applyLocked(u)
+}
+
+// applyLocked is the node's one routing-table transition: it merges an
+// epoch-versioned delta for one shard into a fresh snapshot and swaps it
+// in. A delta whose epoch is not newer than the snapshot's slice for its
+// shard is dropped and counted (a reordered or replayed delta must not
+// roll the table back); the result reports whether it was applied.
+// Before the first table the node holds the empty table (n.mu held).
+func (n *Node) applyLocked(u *transport.RoutesUpdate) bool {
 	cur := n.table()
-	if cur == nil || u.Epoch <= cur.shardEpoch(u.Shard) {
-		n.staleUpdates++
-		return
+	if cur == nil {
+		cur = &routingTable{}
 	}
+	held := cur.shardEpoch(u.Shard)
+	if u.Epoch <= held {
+		n.staleUpdates++
+		return false
+	}
+	t := &routingTable{
+		epoch:    max(cur.epoch, u.Epoch),
+		epochs:   make([]uint64, max(len(cur.epochs), u.Shard+1)),
+		rejected: cur.rejected,
+		peers:    cur.peers,
+	}
+	copy(t.epochs, cur.epochs)
+	t.epochs[u.Shard] = u.Epoch
 
 	// The peer mesh is registration-time state the server shares across
-	// rebuilds, so updates normally carry no Peers: share the current map
-	// and copy it only when a delta actually touches it — at cluster
-	// scale this is an O(N) map copy saved per update.
-	r := &transport.Routes{
-		Site:  cur.routes.Site,
-		Epoch: u.Epoch,
-		Peers: cur.routes.Peers,
-	}
-	if len(u.Peers) > 0 {
-		r.Peers = make(map[int]string, len(cur.routes.Peers))
-		for k, v := range cur.routes.Peers {
-			r.Peers[k] = v
+	// rebuilds, so deltas normally carry no Peers: a node with no mesh yet
+	// (boot) adopts the delta's map as is, and a held mesh is copied only
+	// when a delta actually touches it — at cluster scale this is an O(N)
+	// map copy saved per update.
+	switch {
+	case cur.peers == nil:
+		t.peers = u.Peers
+	case len(u.Peers) > 0:
+		t.peers = make(map[int]string, len(cur.peers))
+		for k, v := range cur.peers {
+			t.peers[k] = v
 		}
 		for k, v := range u.Peers {
 			// A changed address means the peer restarted (crash/rejoin):
 			// drop any stale link and revive a dead-marked peer so the
 			// next frame redials the new address.
-			if old, ok := r.Peers[k]; ok && old != v {
+			if old, ok := t.peers[k]; ok && old != v {
 				if link := n.peerLinks()[k]; link != nil {
 					link.conn.Close()
 				}
@@ -947,12 +894,13 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 					st.dead = false
 				}
 			}
-			r.Peers[k] = v
+			t.peers[k] = v
 		}
 	}
 
-	// Merge into a fresh lookup map, then build the snapshot directly
-	// from it — the Routes slices are derived once for the stored copy.
+	// Merge into a fresh lookup map. A route with no children clears the
+	// duty; entries left neither accepting nor forwarding are dropped,
+	// and every remaining one gets its slot.
 	streams := make(map[stream.ID]streamRoute, len(cur.streams))
 	for id, sr := range cur.streams {
 		streams[id] = sr
@@ -960,7 +908,10 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 	for i := range u.SetForward {
 		route := &u.SetForward[i]
 		sr := streams[route.Stream]
-		sr.forward = forwardDuty(route)
+		sr.forward = route
+		if len(route.Children) == 0 {
+			sr.forward = nil
+		}
 		streams[route.Stream] = sr
 	}
 	for _, id := range u.AddAccepted {
@@ -973,42 +924,38 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 		sr.accepted = false
 		streams[id] = sr
 	}
-	n.resolve(streams)
-	r.Forward, r.Accepted = routeLists(streams)
+	for id, sr := range streams {
+		switch {
+		case !sr.accepted && sr.forward == nil:
+			delete(streams, id)
+		case sr.slot == nil:
+			sr.slot = n.slotLocked(id)
+			streams[id] = sr
+		}
+	}
+	t.streams = streams
 
-	rejected := make(map[stream.ID]bool, len(cur.routes.Rejected))
-	for _, id := range cur.routes.Rejected {
-		rejected[id] = true
+	if len(u.AddRejected)+len(u.DelRejected) > 0 {
+		t.rejected = make(map[stream.ID]bool, len(cur.rejected)+len(u.AddRejected))
+		for id := range cur.rejected {
+			t.rejected[id] = true
+		}
+		for _, id := range u.AddRejected {
+			t.rejected[id] = true
+		}
+		for _, id := range u.DelRejected {
+			delete(t.rejected, id)
+		}
 	}
-	for _, id := range u.AddRejected {
-		rejected[id] = true
-	}
-	for _, id := range u.DelRejected {
-		delete(rejected, id)
-	}
-	for id := range rejected {
-		r.Rejected = append(r.Rejected, id)
-	}
-
-	epochs := make([]uint64, len(cur.epochs))
-	copy(epochs, cur.epochs)
-	for len(epochs) <= u.Shard {
-		epochs = append(epochs, 0)
-	}
-	epochs[u.Shard] = u.Epoch
-	maxEpoch := cur.epoch
-	if u.Epoch > maxEpoch {
-		maxEpoch = u.Epoch
-	}
-	t := &routingTable{epoch: maxEpoch, epochs: epochs, routes: r, streams: streams}
 
 	// Track newly gained streams until their first delivered frame; a
-	// stream withdrawn before that settles as never-delivered. The marks
-	// go in before the table does, so the first frame routed under the
-	// new table already finds its mark.
+	// stream withdrawn before that settles as never-delivered. Only a
+	// shard that already held a table gains streams (boot measures
+	// nothing). The marks go in before the table does, so the first
+	// frame routed under the new table already finds its mark.
 	now := time.Now()
 	for _, id := range u.AddAccepted {
-		if !cur.streams[id].accepted {
+		if held > 0 && !cur.streams[id].accepted {
 			n.slotLocked(id).setGain(true, gainMark{epoch: u.Epoch, at: now})
 		}
 	}
@@ -1016,105 +963,56 @@ func (n *Node) applyUpdate(u *transport.RoutesUpdate) {
 		n.slotLocked(id).setGain(false, gainMark{})
 	}
 	n.tbl.Store(t)
+	return true
 }
 
-// applySync replaces one shard's whole slice of the routing snapshot
-// with a freshly delivered full table — the resynchronization a
-// successor (or the same server, after this site re-registered) sends.
-// Resubscriptions left in flight toward the shard are settled from the
-// synced admission state: the crash may have eaten their individual
-// acknowledgements, but the re-registration carried their effect.
+// applySync applies a full table one shard sent mid-session — the
+// resynchronization a successor (or the same server, after this site
+// re-registered) sends.
 func (n *Node) applySync(r *transport.Routes) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.syncLocked(r.Shard, r)
+}
+
+// syncLocked makes the snapshot's slice for shard k equal the shard's
+// full table r: the held slice is diffed against r and the difference
+// applied as a delta at r's epoch, so a sync gains, loses and reroutes
+// streams exactly as the equivalent delta would. A sync that is not
+// stale also takes r's session directory and settles resubscriptions
+// left in flight toward the shard from the synced admission state: the
+// crash may have eaten their individual acknowledgements, but the
+// re-registration carried their effect (n.mu held).
+func (n *Node) syncLocked(k int, r *transport.Routes) {
 	if r.Epoch == 0 {
 		r.Epoch = 1
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	cur := n.table()
 	if cur == nil {
-		return
+		cur = &routingTable{}
 	}
-	k := r.Shard
-	if r.Epoch <= cur.shardEpoch(k) {
-		n.staleUpdates++
-		return
+	shards := max(n.shards, k+1)
+	u := transport.DiffRoutes(cur.wire(func(id stream.ID) bool {
+		return transport.TenantStreamShard(n.cfg.Tenant, id, shards) == k
+	}), r)
+	if u == nil {
+		u = &transport.RoutesUpdate{}
 	}
-	shards := n.shards
-	if shards <= k {
-		shards = k + 1
+	u.Epoch, u.Shard = r.Epoch, k
+	if cur.peers == nil {
+		u.Peers = r.Peers // the mesh is the same in every shard's table
+	}
+	if !n.applyLocked(u) {
+		return
 	}
 	if len(r.Directory) > 0 {
 		n.dir = r.Directory
 	}
 
-	owned := func(id stream.ID) bool { return transport.TenantStreamShard(n.cfg.Tenant, id, shards) == k }
-
-	merged := &transport.Routes{
-		Site:  cur.routes.Site,
-		Epoch: cur.epoch,
-		Peers: cur.routes.Peers,
-	}
-	streams := make(map[stream.ID]streamRoute, len(cur.streams))
-	for id, sr := range cur.streams {
-		if !owned(id) {
-			streams[id] = sr
-		}
-	}
-	for i := range r.Forward {
-		streams[r.Forward[i].Stream] = streamRoute{forward: forwardDuty(&r.Forward[i])}
-	}
-	accSet := make(map[stream.ID]bool, len(r.Accepted))
-	for _, id := range r.Accepted {
-		accSet[id] = true
-		sr := streams[id]
-		sr.accepted = true
-		streams[id] = sr
-	}
-	n.resolve(streams)
-	merged.Forward, merged.Accepted = routeLists(streams)
-
-	rejSet := make(map[stream.ID]bool, len(r.Rejected))
-	for _, id := range r.Rejected {
-		rejSet[id] = true
-	}
-	for _, id := range cur.routes.Rejected {
-		if !owned(id) {
-			merged.Rejected = append(merged.Rejected, id)
-		}
-	}
-	merged.Rejected = append(merged.Rejected, r.Rejected...)
-
-	epochs := make([]uint64, len(cur.epochs))
-	copy(epochs, cur.epochs)
-	for len(epochs) <= k {
-		epochs = append(epochs, 0)
-	}
-	epochs[k] = r.Epoch
-	if r.Epoch > merged.Epoch {
-		merged.Epoch = r.Epoch
-	}
-	t := &routingTable{epoch: merged.Epoch, epochs: epochs, routes: merged, streams: streams}
-
-	// Gains and losses relative to the pre-sync slice drive the same
-	// disruption tracking a delta would: a stream the successor granted
-	// that the old table lacked starts a first-frame measurement.
-	now := time.Now()
-	for id := range accSet {
-		if !cur.streams[id].accepted {
-			n.slotLocked(id).setGain(true, gainMark{epoch: r.Epoch, at: now})
-		}
-	}
-	for id, sr := range cur.streams {
-		if sr.accepted && owned(id) && !accSet[id] {
-			sr.slot.setGain(false, gainMark{})
-		}
-	}
-	n.tbl.Store(t)
-
-	// Settle in-flight resubscriptions toward this shard from the synced
-	// admission state. A gain in neither set was lost in the failover
-	// window (sent after the successor's registration snapshot): it is
-	// reported as neither accepted nor rejected — a bounded loss.
+	// A gain in neither set was lost in the failover window (sent after
+	// the successor's registration snapshot): it is reported as neither
+	// accepted nor rejected — a bounded loss.
+	t := n.table()
 	for id, req := range n.inflight {
 		if req.shard != k {
 			continue
@@ -1122,13 +1020,13 @@ func (n *Node) applySync(r *transport.Routes) {
 		res := &ResubscribeResult{Epoch: r.Epoch}
 		for _, g := range req.gained {
 			switch {
-			case accSet[g]:
+			case t.streams[g].accepted:
 				if res.Epochs == nil {
 					res.Epochs = make(map[stream.ID]uint64)
 				}
 				res.Accepted = append(res.Accepted, g)
 				res.Epochs[g] = r.Epoch
-			case rejSet[g]:
+			case t.rejected[g]:
 				res.Rejected = append(res.Rejected, g)
 			}
 		}
@@ -1398,7 +1296,7 @@ func (n *Node) peer(site int, tbl *routingTable) *peerLink {
 // dialPeer performs one dial + handshake toward a peer and installs the
 // resulting link (discarding it if a racing dispatcher won).
 func (n *Node) dialPeer(site int, tbl *routingTable) (*peerLink, error) {
-	addr, ok := tbl.routes.Peers[site]
+	addr, ok := tbl.peers[site]
 	if !ok {
 		return nil, fmt.Errorf("rp: site %d has no address for peer %d", n.cfg.Site, site)
 	}
@@ -1655,7 +1553,7 @@ func (n *Node) slotList() ([]stream.ID, []*streamSlot) {
 	for id := range n.slots {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+	stream.SortIDs(ids)
 	slots := make([]*streamSlot, len(ids))
 	for i, id := range ids {
 		slots[i] = n.slots[id]

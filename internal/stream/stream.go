@@ -12,6 +12,7 @@ package stream
 
 import (
 	"fmt"
+	"sort"
 )
 
 // ID identifies one 3D video stream globally: the stream with local camera
@@ -32,6 +33,11 @@ func (id ID) Less(other ID) bool {
 		return id.Site < other.Site
 	}
 	return id.Index < other.Index
+}
+
+// SortIDs sorts ids in place by Less.
+func SortIDs(ids []ID) {
+	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
 }
 
 // Raw capture constants from the paper's §1 back-of-envelope.

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 
 	"github.com/tele3d/tele3d/internal/stream"
 )
@@ -112,15 +114,13 @@ type Ack struct {
 // is the shard's table version after the change: an RP applies an
 // update only if its epoch is newer than the table it currently runs
 // for that shard, so reordered or replayed updates are handled
-// deterministically (dropped). ReplyTo is non-zero only on the update
-// sent to the RP whose Resubscribe triggered the change, echoing that
-// request's ID; batched updates list every folded-in request in Acks.
+// deterministically (dropped). Acks lists every resubscribe request the
+// update acknowledges.
 type RoutesUpdate struct {
-	Site    int    `json:"site"`
-	Epoch   uint64 `json:"epoch"`
-	Shard   int    `json:"shard,omitempty"`
-	Acks    []Ack  `json:"acks,omitempty"`
-	ReplyTo uint64 `json:"replyTo,omitempty"`
+	Site  int    `json:"site"`
+	Epoch uint64 `json:"epoch"`
+	Shard int    `json:"shard,omitempty"`
+	Acks  []Ack  `json:"acks,omitempty"`
 	// SetForward replaces the forwarding duty for each listed stream; an
 	// entry with no children clears the duty for that stream.
 	SetForward []Route `json:"setForward,omitempty"`
@@ -169,6 +169,63 @@ type Routes struct {
 	Accepted []stream.ID `json:"accepted"`
 	// Rejected lists the subscriptions the overlay could not satisfy.
 	Rejected []stream.ID `json:"rejected"`
+}
+
+// DiffRoutes returns the delta that turns table old into table new, or
+// nil when their forwarding duties, accepted and rejected sets agree.
+// The lists in old and new may come in any order; the delta's lists are
+// sorted. Site is new's; Epoch, Shard and Acks are left for the caller,
+// and Peers is never compared or carried (the mesh is registration-time
+// state that only changes through an explicit Peers patch).
+func DiffRoutes(old, new *Routes) *RoutesUpdate {
+	u := &RoutesUpdate{Site: new.Site}
+	oldFw := make(map[stream.ID][]int, len(old.Forward))
+	for _, r := range old.Forward {
+		oldFw[r.Stream] = r.Children
+	}
+	newFw := make(map[stream.ID]bool, len(new.Forward))
+	for _, r := range new.Forward {
+		newFw[r.Stream] = true
+		if !slices.Equal(oldFw[r.Stream], r.Children) {
+			u.SetForward = append(u.SetForward, r)
+		}
+	}
+	for id := range oldFw {
+		if !newFw[id] {
+			u.SetForward = append(u.SetForward, Route{Stream: id})
+		}
+	}
+	sort.Slice(u.SetForward, func(a, b int) bool { return u.SetForward[a].Stream.Less(u.SetForward[b].Stream) })
+	u.AddAccepted, u.DelAccepted = diffIDs(old.Accepted, new.Accepted)
+	u.AddRejected, u.DelRejected = diffIDs(old.Rejected, new.Rejected)
+	if len(u.SetForward)+len(u.AddAccepted)+len(u.DelAccepted)+len(u.AddRejected)+len(u.DelRejected) == 0 {
+		return nil
+	}
+	return u
+}
+
+// diffIDs returns new-minus-old (added) and old-minus-new (removed),
+// each sorted.
+func diffIDs(old, new []stream.ID) (added, removed []stream.ID) {
+	oldSet := make(map[stream.ID]bool, len(old))
+	for _, id := range old {
+		oldSet[id] = true
+	}
+	newSet := make(map[stream.ID]bool, len(new))
+	for _, id := range new {
+		newSet[id] = true
+		if !oldSet[id] {
+			added = append(added, id)
+		}
+	}
+	for _, id := range old {
+		if !newSet[id] {
+			removed = append(removed, id)
+		}
+	}
+	stream.SortIDs(added)
+	stream.SortIDs(removed)
+	return added, removed
 }
 
 // Message is one decoded wire message. Exactly one payload field is set,

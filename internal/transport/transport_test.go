@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"github.com/tele3d/tele3d/internal/stream"
@@ -86,9 +87,9 @@ func TestResubscribeRoundTrip(t *testing.T) {
 
 func TestRoutesUpdateRoundTrip(t *testing.T) {
 	u := &RoutesUpdate{
-		Site:    0,
-		Epoch:   7,
-		ReplyTo: 41,
+		Site:  0,
+		Epoch: 7,
+		Acks:  []Ack{{ID: 41}},
 		SetForward: []Route{
 			{Stream: stream.ID{Site: 0, Index: 1}, Children: []int{2}},
 			{Stream: stream.ID{Site: 0, Index: 0}}, // clears the duty
@@ -100,7 +101,7 @@ func TestRoutesUpdateRoundTrip(t *testing.T) {
 	}
 	m := roundTrip(t, &Message{Type: MsgRoutesUpdate, Update: u})
 	got := m.Update
-	if got.Epoch != 7 || got.ReplyTo != 41 || got.Site != 0 {
+	if got.Epoch != 7 || len(got.Acks) != 1 || got.Acks[0].ID != 41 || got.Site != 0 {
 		t.Errorf("update = %+v", got)
 	}
 	if len(got.SetForward) != 2 || len(got.SetForward[1].Children) != 0 {
@@ -111,6 +112,53 @@ func TestRoutesUpdateRoundTrip(t *testing.T) {
 	}
 	if got.Peers[3] != "d:4" {
 		t.Errorf("peers = %v", got.Peers)
+	}
+}
+
+// TestDiffRoutes: the delta between two tables is nil when only list
+// order or the mesh differs, and otherwise carries every change class —
+// a changed, new and cleared forwarding duty, accepted and rejected
+// additions and removals — with sorted lists and no Peers.
+func TestDiffRoutes(t *testing.T) {
+	id := func(site, q int) stream.ID { return stream.ID{Site: site, Index: q} }
+	old := &Routes{
+		Site:     3,
+		Peers:    map[int]string{0: "a:1"},
+		Forward:  []Route{{Stream: id(3, 0), Children: []int{1, 2}}, {Stream: id(3, 1), Children: []int{0}}},
+		Accepted: []stream.ID{id(1, 0), id(0, 0)},
+		Rejected: []stream.ID{id(2, 0)},
+	}
+	same := &Routes{
+		Site:     3,
+		Peers:    map[int]string{0: "b:2"},
+		Forward:  []Route{{Stream: id(3, 1), Children: []int{0}}, {Stream: id(3, 0), Children: []int{1, 2}}},
+		Accepted: []stream.ID{id(0, 0), id(1, 0)},
+		Rejected: []stream.ID{id(2, 0)},
+	}
+	if u := DiffRoutes(old, same); u != nil {
+		t.Errorf("reordered table diffs to %+v, want nil", u)
+	}
+	next := &Routes{
+		Site:     3,
+		Peers:    map[int]string{0: "b:2"},
+		Forward:  []Route{{Stream: id(3, 2), Children: []int{4}}, {Stream: id(3, 0), Children: []int{1}}},
+		Accepted: []stream.ID{id(2, 1), id(1, 0), id(0, 1)},
+		Rejected: []stream.ID{id(0, 0), id(1, 1)},
+	}
+	want := &RoutesUpdate{
+		Site: 3,
+		SetForward: []Route{
+			{Stream: id(3, 0), Children: []int{1}},
+			{Stream: id(3, 1)}, // clears the duty
+			{Stream: id(3, 2), Children: []int{4}},
+		},
+		AddAccepted: []stream.ID{id(0, 1), id(2, 1)},
+		DelAccepted: []stream.ID{id(0, 0)},
+		AddRejected: []stream.ID{id(0, 0), id(1, 1)},
+		DelRejected: []stream.ID{id(2, 0)},
+	}
+	if got := DiffRoutes(old, next); !reflect.DeepEqual(got, want) {
+		t.Errorf("DiffRoutes =\n%+v\nwant\n%+v", got, want)
 	}
 }
 
