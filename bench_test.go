@@ -313,7 +313,7 @@ func BenchmarkSimFrameDelivery(b *testing.B) {
 	cfg := sim.Config{Forest: f, Profile: stream.DefaultProfile(), DurationMs: 1000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg); err != nil {
+		if _, err := sim.RunEvents(cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

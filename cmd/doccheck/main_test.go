@@ -1,6 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,6 +106,136 @@ func TestCheckExportedCleanPackages(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Errorf("internal packages have undocumented exports:\n%s", strings.Join(findings, "\n"))
+	}
+}
+
+// unreferencedExports parses every .go file under root, tests included,
+// and reports each exported function or method declared in a non-test
+// file under internal/ whose name occurs as no other identifier in the
+// module. Method names in interface declarations are identifiers too, so
+// a method that satisfies an in-module interface counts as referenced.
+// Methods on unexported types are not API and are skipped, as in
+// checkPackage, and so are directories named testdata or starting
+// with ".".
+func unreferencedExports(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	uses := make(map[string]int)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	for _, f := range files {
+		path := fset.Position(f.Package).Filename
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return nil, err
+		}
+		rel = filepath.ToSlash(rel)
+		if !strings.HasPrefix(rel, "internal/") || strings.HasSuffix(rel, "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok || !d.Name.IsExported() || uses[d.Name.Name] > 1 {
+				continue
+			}
+			name := f.Name.Name + "." + d.Name.Name
+			if d.Recv != nil {
+				recv := recvTypeName(d.Recv)
+				if !ast.IsExported(recv) {
+					continue // not API: typically satisfies a standard-library interface
+				}
+				if _, ptr := d.Recv.List[0].Type.(*ast.StarExpr); ptr {
+					recv = "*" + recv
+				}
+				name = fmt.Sprintf("%s.(%s).%s", f.Name.Name, recv, d.Name.Name)
+			}
+			findings = append(findings, fmt.Sprintf("%s:%d: %s", rel, fset.Position(d.Pos()).Line, name))
+		}
+	}
+	return findings, nil
+}
+
+// TestNoUnreferencedExports runs the unreferenced-export scan over a
+// fixture module and then over this module, which must have no exported
+// function or method under internal/ that nothing names.
+func TestNoUnreferencedExports(t *testing.T) {
+	dir := t.TempDir()
+	fixture := map[string]string{
+		"internal/a/a.go": `package a
+
+type T struct{}
+
+func Used() {}
+
+func Unused() {}
+
+func TestOnly() {}
+
+func (T) Satisfies() {}
+
+func (*T) Dangling() {}
+
+type hidden struct{}
+
+func (hidden) Unlisted() {}
+`,
+		"internal/a/a_test.go":     "package a\n\nfunc helperUnused() { TestOnly() }\n\nfunc ExportedInTest() {}\n",
+		"internal/b/b.go":          "package b\n\nimport \"m/internal/a\"\n\ntype I interface{ Satisfies() }\n\nfunc init() { a.Used() }\n",
+		"cmd/c/main.go":            "package main\n\nfunc main() {}\n\nfunc OutsideInternal() {}\n",
+		"internal/a/testdata/x.go": "package x\n\nfunc Unused() {}\n\nfunc Dangling() {}\n",
+	}
+	for name, src := range fixture {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := unreferencedExports(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/a/a.go:7: a.Unused", "internal/a/a.go:13: a.(*T).Dangling"}
+	if strings.Join(findings, "\n") != strings.Join(want, "\n") {
+		t.Errorf("fixture findings:\n%s\nwant:\n%s", strings.Join(findings, "\n"), strings.Join(want, "\n"))
+	}
+
+	findings, err = unreferencedExports("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) > 0 {
+		t.Errorf("exported functions under internal/ that nothing references (delete them or use them):\n%s", strings.Join(findings, "\n"))
 	}
 }
 

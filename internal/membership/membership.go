@@ -80,11 +80,6 @@ type Config struct {
 	// inline after every event (legacy behaviour, one epoch per diff —
 	// internally a single-event batch with an immediate flush).
 	FlushIntervalMs float64
-	// ConstructWorkers sizes the worker pool for the initial forest
-	// construction; 0 or 1 constructs serially. Parallel construction
-	// partitions independent trees across workers and is bit-identical to
-	// serial output at any worker count.
-	ConstructWorkers int
 	// Tenant is the session's tenant index in a multi-tenant plane; 0
 	// (the default) keeps the legacy shard keying bit for bit. It must
 	// match the RP nodes' configured tenant — ownership hashing
@@ -223,9 +218,6 @@ func New(cfg Config) (*Server, error) {
 
 // Addr returns the server's dial address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Ready is closed once every RP has received its routing table.
-func (s *Server) Ready() <-chan struct{} { return s.ready }
 
 // SetDirectory installs the replicated session directory the server
 // hands to every RP inside its full routing tables: dir[k] lists shard
@@ -516,16 +508,7 @@ func (s *Server) computeAndDistribute() error {
 		return err
 	}
 	start := time.Now()
-	var f *overlay.Forest
-	if s.cfg.ConstructWorkers > 1 {
-		// Parallel construction partitions independent trees across the
-		// pool; the merged forest is bit-identical to serial output.
-		b := overlay.NewParallelBuilder(s.cfg.ConstructWorkers)
-		f, err = b.Construct(nil, s.cfg.Algorithm, p, rand.New(rand.NewSource(s.cfg.Seed)))
-		b.Close()
-	} else {
-		f, err = s.cfg.Algorithm.Construct(p, rand.New(rand.NewSource(s.cfg.Seed)))
-	}
+	f, err := s.cfg.Algorithm.Construct(p, rand.New(rand.NewSource(s.cfg.Seed)))
 	if err != nil {
 		return err
 	}

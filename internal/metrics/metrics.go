@@ -15,33 +15,13 @@ import (
 // Rejection returns the normalized total rejection ratio
 // Σû / Σu ∈ [0,1]: rejected requests over all requests. This is the
 // quantity the paper's figures plot as "average rejection ratio" (the
-// literal Equation 1 sums per-pair ratios and can exceed 1; see
-// PairwiseRejection).
+// literal Equation 1 sums per-pair ratios and can exceed 1).
 func Rejection(f *overlay.Forest) float64 {
 	total := f.NumAccepted() + f.NumRejected()
 	if total == 0 {
 		return 0
 	}
 	return float64(f.NumRejected()) / float64(total)
-}
-
-// PairwiseRejection is the literal Equation 1:
-//
-//	X = Σ_i Σ_{j≠i} û_{i→j} / u_{i→j}
-//
-// summed over pairs with u_{i→j} > 0.
-func PairwiseRejection(f *overlay.Forest) float64 {
-	u := f.Problem().RequestMatrix()
-	uh := f.RejectionMatrix()
-	var x float64
-	for i := range u {
-		for j := range u[i] {
-			if i != j && u[i][j] > 0 {
-				x += float64(uh[i][j]) / float64(u[i][j])
-			}
-		}
-	}
-	return x
 }
 
 // WeightedRejectionRaw is the literal Equation 3:

@@ -48,18 +48,6 @@ func TestRejectionBounds(t *testing.T) {
 	}
 }
 
-func TestPairwiseRejectionEquation1(t *testing.T) {
-	none := buildForest(t, 0)
-	// û[1][0] = 2, u[1][0] = 2 → contributes 1.0; other pairs contribute 0.
-	if got := PairwiseRejection(none); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("Eq.1 X = %v, want 1.0", got)
-	}
-	full := buildForest(t, 5)
-	if got := PairwiseRejection(full); got != 0 {
-		t.Errorf("Eq.1 X = %v, want 0", got)
-	}
-}
-
 func TestWeightedRejectionEquation3(t *testing.T) {
 	none := buildForest(t, 0)
 	// For node 1: û[1][0]/u² · u_min = 2/4 · 2 = 1.0 (only pair).

@@ -120,29 +120,27 @@ func TestBatchApplySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelConstructSteadyStateZeroAllocs pins the construction hot
-// path the experiment engines and the parallel builder share: repeated
-// constructions of the same problem over recycled workspaces must not
-// allocate once every lease has reached working size. Both the inline
-// single-worker path and the cross-worker dispatch path are pinned.
-func TestParallelConstructSteadyStateZeroAllocs(t *testing.T) {
+// TestConstructWithSteadyStateZeroAllocs pins the construction hot path
+// the experiment engines run: repeated ConstructWith calls on the same
+// problem over one recycled Workspace must not allocate once the
+// workspace has reached working size. MCTF is left out: its
+// capacity-ordered group sort still allocates per construction.
+func TestConstructWithSteadyStateZeroAllocs(t *testing.T) {
 	p := simpleProblem(t, 6, 5, 3, 20, 20, 50)
-	for _, workers := range []int{1, 2} {
-		b := NewParallelBuilder(workers)
-		defer b.Close()
+	for _, alg := range []Algorithm{RJ{}, LTF{}, STF{}, CORJ{}, GranLTF{G: 2}} {
 		var ws Workspace
 		rng := rand.New(rand.NewSource(99))
 		cycle := func() {
 			rng.Seed(99)
-			if _, err := b.Construct(&ws, RJ{}, p, rng); err != nil {
+			if _, err := ConstructWith(&ws, alg, p, rng); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 16; i++ { // grow workspace leases and builder scratch
+		for i := 0; i < 16; i++ { // grow the workspace to working size
 			cycle()
 		}
 		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-			t.Errorf("workers=%d: parallel construct steady state allocates %.1f times per run, want 0", workers, allocs)
+			t.Errorf("%s: ConstructWith steady state allocates %.1f times per run, want 0", alg.Name(), allocs)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package exact
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/tele3d/tele3d/internal/overlay"
@@ -185,54 +184,6 @@ func (s *solver) feasible() bool {
 		}
 	}
 	return true
-}
-
-// BuildForest materializes the optimal assignment as an overlay.Forest so
-// it can be validated and measured with the standard metrics. Requests
-// are joined in BFS order per tree.
-func BuildForest(p *overlay.Problem, res *Result) (*overlay.Forest, error) {
-	f, err := overlay.NewForest(p)
-	if err != nil {
-		return nil, err
-	}
-	// Repeatedly attach requests whose parent is already in the tree.
-	pending := make(map[overlay.Request]int, len(res.Parents))
-	for r, parent := range res.Parents {
-		pending[r] = parent
-	}
-	for len(pending) > 0 {
-		progressed := false
-		for r, parent := range pending {
-			t := f.Tree(r.Stream)
-			inTree := parent == r.Stream.Site || (t != nil && t.Contains(parent))
-			if !inTree {
-				continue
-			}
-			if got := f.Join(r); got != overlay.Joined {
-				return nil, fmt.Errorf("exact: replay of optimal solution failed at %v: %v", r, got)
-			}
-			// The greedy join may pick a different (higher-rfc) parent
-			// than the optimum chose; that is fine — the acceptance set
-			// is what the optimum defines.
-			delete(pending, r)
-			progressed = true
-		}
-		if !progressed {
-			return nil, errors.New("exact: optimal solution is not constructible incrementally")
-		}
-	}
-	// Record the rejections.
-	for _, r := range p.Requests {
-		if _, ok := res.Parents[r]; !ok {
-			if got := f.Join(r); got == overlay.Joined {
-				// The optimum said reject but capacity allows a join:
-				// impossible if res is optimal, but tolerate by keeping
-				// the better forest.
-				continue
-			}
-		}
-	}
-	return f, nil
 }
 
 // Gap reports the heuristic's acceptance shortfall versus the optimum as

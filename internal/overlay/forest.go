@@ -128,7 +128,7 @@ func (t *Tree) Children(node int) []int {
 // internal slice, without copying. Callers must treat the slice as
 // read-only and must not hold it across tree mutations; it exists for
 // hot paths (the event simulator's forwarding loop) where the Children
-// copy or the ForEachChild callback would dominate.
+// copy would dominate.
 func (t *Tree) ChildrenRef(node int) []int32 {
 	return t.childrenOf(node)
 }
@@ -140,17 +140,6 @@ func (t *Tree) childrenOf(node int) []int32 {
 		return nil
 	}
 	return t.children[node]
-}
-
-// ForEachChild calls fn for every child of node in join order, without
-// copying. fn must not mutate the tree.
-func (t *Tree) ForEachChild(node int, fn func(child int)) {
-	if node < 0 || node >= len(t.children) {
-		return
-	}
-	for _, c := range t.children[node] {
-		fn(int(c))
-	}
 }
 
 // ForEachNode calls fn for every tree member in ascending node order —

@@ -145,7 +145,7 @@ func constructBatchedWS(ws *Workspace, p *Problem, rng *rand.Rand, groups []Grou
 // scheduleInto appends the batched construction's randomized join order to
 // dst: the requests of each granularity-sized run of groups, shuffled
 // within the run. This is the exact request sequence constructBatchedWS
-// executes — the schedule is the unit the parallel builder partitions.
+// executes.
 func scheduleInto(dst []Request, rng *rand.Rand, groups []Group, granularity int) []Request {
 	for start := 0; start < len(groups); start += granularity {
 		end := start + granularity

@@ -1701,11 +1701,3 @@ func (n *Node) LastResubID() uint64 {
 func (n *Node) NextSeq() uint64 {
 	return n.rig.NextSeq()
 }
-
-// Retries reports the dial retries this node performed (all paths:
-// registration, failover sweep, peer reconnects). When the node was
-// built with a shared Config.RetryStats the count includes every node
-// on that counter.
-func (n *Node) Retries() int64 {
-	return n.retry.Total()
-}

@@ -25,7 +25,7 @@ func TestSessionForestSatisfiesBoundAtFrameLevel(t *testing.T) {
 				DurationMs:    2000,
 				HopOverheadMs: 1,
 			}
-			res, err := sim.Run(cfg)
+			res, err := sim.RunEvents(cfg, nil)
 			if err != nil {
 				t.Fatalf("N=%d %s: %v", n, alg.Name(), err)
 			}

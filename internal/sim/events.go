@@ -1,7 +1,6 @@
 package sim
 
-// events.go makes the simulator event-driven: in addition to replaying a
-// frame schedule over a static forest (Run), RunEvents accepts a
+// events.go makes the simulator event-driven: RunEvents accepts a
 // time-stamped control trace — subscribe, unsubscribe and FOV view-change
 // events — and applies it to the live forest mid-session through the
 // overlay's dynamic operations. Frames keep flowing while the forest

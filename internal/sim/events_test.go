@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/tele3d/tele3d/internal/overlay"
@@ -26,23 +27,57 @@ func testProfile() stream.Profile {
 	return stream.Profile{Width: 64, Height: 48, FPS: 10, CompressionRatio: 10}
 }
 
+// TestRunEventsEmptyTraceMatchesStaticRun pins the static replay: with no
+// control events, every accepted (node, stream) pair of a multi-tree
+// forest receives every captured frame at its tree path cost plus the
+// per-hop overhead, and the result lists the pairs sorted by (node,
+// stream).
 func TestRunEventsEmptyTraceMatchesStaticRun(t *testing.T) {
 	prof := testProfile()
-	staticRes, err := Run(Config{Forest: chainForest(t), Profile: prof, DurationMs: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evRes, err := RunEvents(Config{Forest: chainForest(t), Profile: prof, DurationMs: 1000}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(staticRes.PerSubscription, evRes.PerSubscription) {
-		t.Errorf("per-subscription stats diverge:\nstatic %+v\nevents %+v",
-			staticRes.PerSubscription, evRes.PerSubscription)
-	}
-	if staticRes.TotalFrames != evRes.TotalFrames || staticRes.MaxLatencyMs != evRes.MaxLatencyMs {
-		t.Errorf("totals diverge: static (%d, %v), events (%d, %v)",
-			staticRes.TotalFrames, staticRes.MaxLatencyMs, evRes.TotalFrames, evRes.MaxLatencyMs)
+	const durationMs, frames = 1000, 10
+	for _, f := range []*overlay.Forest{chainForest(t), paperForest(t)} {
+		for _, hop := range []float64{0, 5} {
+			res, err := RunEvents(Config{Forest: f, Profile: prof, DurationMs: durationMs, HopOverheadMs: hop}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []DeliveryStats
+			maxLat := 0.0
+			for _, tr := range f.Trees() {
+				for _, v := range tr.Nodes() {
+					if v == tr.Source {
+						continue
+					}
+					hops := 0
+					for cur := v; cur != tr.Source; hops++ {
+						cur, _ = tr.Parent(cur)
+					}
+					cost, _ := tr.CostFromSource(v)
+					lat := cost + hop*float64(hops)
+					maxLat = math.Max(maxLat, lat)
+					want = append(want, DeliveryStats{Node: v, Stream: tr.Stream, Frames: frames, MeanLatMs: lat, MaxLatMs: lat, Hops: hops})
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Node != want[j].Node {
+					return want[i].Node < want[j].Node
+				}
+				return want[i].Stream.Less(want[j].Stream)
+			})
+			if len(res.PerSubscription) != len(want) {
+				t.Fatalf("hop %v: %d per-subscription entries, want %d", hop, len(res.PerSubscription), len(want))
+			}
+			for i, got := range res.PerSubscription {
+				w := want[i]
+				if got.Node != w.Node || got.Stream != w.Stream || got.Frames != w.Frames || got.Hops != w.Hops ||
+					math.Abs(got.MeanLatMs-w.MeanLatMs) > 1e-9 || math.Abs(got.MaxLatMs-w.MaxLatMs) > 1e-9 {
+					t.Errorf("hop %v: entry %d = %+v, want %+v", hop, i, got, w)
+				}
+			}
+			if res.TotalFrames != frames*len(want) || math.Abs(res.MaxLatencyMs-maxLat) > 1e-9 {
+				t.Errorf("hop %v: totals (%d, %v), want (%d, %v)", hop, res.TotalFrames, res.MaxLatencyMs, frames*len(want), maxLat)
+			}
+		}
 	}
 }
 

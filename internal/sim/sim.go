@@ -4,13 +4,14 @@
 // validates, at frame granularity and for arbitrary session lengths, the
 // property the overlay construction only guarantees statically: every
 // accepted subscription receives its stream within the latency bound.
+//
+// RunEvents is the one entry point. A nil trace replays the frame
+// schedule over the static forest; a control trace also reconfigures
+// the forest mid-session.
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/tele3d/tele3d/internal/overlay"
 	"github.com/tele3d/tele3d/internal/stream"
@@ -41,172 +42,9 @@ type DeliveryStats struct {
 	Hops int
 }
 
-// Result is a completed simulation.
-type Result struct {
-	// PerSubscription has one entry per accepted (node, stream) pair,
-	// sorted by (node, stream).
-	PerSubscription []DeliveryStats
-	// TotalFrames is the number of frame deliveries simulated.
-	TotalFrames int
-	// MaxLatencyMs is the worst frame latency observed anywhere.
-	MaxLatencyMs float64
-}
-
-// evItem is a static-run heap entry: one frame copy at one node.
-type evItem struct {
-	at     float64
-	node   int
-	stream stream.ID
-	seq    int // frame sequence
-	ord    int // insertion order: the final, total tie-break
-}
-
-func (a evItem) before(b evItem) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.ord < b.ord
-}
-
-// evHeap is a binary min-heap on evItem.before.
-type evHeap []evItem
-
-func (h *evHeap) push(e evItem) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].before((*h)[i]) {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *evHeap) pop() evItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r, smallest := 2*i+1, 2*i+2, i
-		if l < n && (*h)[l].before((*h)[smallest]) {
-			smallest = l
-		}
-		if r < n && (*h)[r].before((*h)[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
-}
-
-// Run executes the simulation over a static forest. The event heap
-// orders frame arrivals by time.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Forest == nil {
-		return nil, errors.New("sim: nil forest")
-	}
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.DurationMs <= 0 {
-		return nil, fmt.Errorf("sim: duration %v <= 0", cfg.DurationMs)
-	}
-	p := cfg.Forest.Problem()
-	interval := cfg.Profile.FrameIntervalMs()
-	frames := int(cfg.DurationMs / interval)
-	if frames < 1 {
-		frames = 1
-	}
-
-	type key struct {
-		node int
-		id   stream.ID
-	}
-	acc := make(map[key]*DeliveryStats)
-	hops := make(map[key]int)
-	for _, t := range cfg.Forest.Trees() {
-		for _, v := range t.Nodes() {
-			if v == t.Source {
-				continue
-			}
-			h := 0
-			for cur := v; cur != t.Source; {
-				parent, ok := t.Parent(cur)
-				if !ok {
-					return nil, fmt.Errorf("sim: tree %s disconnected at %d", t.Stream, cur)
-				}
-				cur = parent
-				h++
-			}
-			k := key{node: v, id: t.Stream}
-			hops[k] = h
-			acc[k] = &DeliveryStats{Node: v, Stream: t.Stream, Hops: h}
-		}
-	}
-
-	var heap evHeap
-	ord := 0
-	res := &Result{}
-	// Seed capture events: every tree source emits `frames` frames.
-	for _, t := range cfg.Forest.Trees() {
-		for seq := 0; seq < frames; seq++ {
-			heap.push(evItem{at: float64(seq) * interval, node: t.Source, stream: t.Stream, seq: seq, ord: ord})
-			ord++
-		}
-	}
-	for len(heap) > 0 {
-		e := heap.pop()
-		t := cfg.Forest.Tree(e.stream)
-		// Deliver at non-source nodes.
-		if e.node != t.Source {
-			k := key{node: e.node, id: e.stream}
-			st := acc[k]
-			lat := e.at - float64(e.seq)*interval
-			st.Frames++
-			st.MeanLatMs += (lat - st.MeanLatMs) / float64(st.Frames)
-			st.MaxLatMs = math.Max(st.MaxLatMs, lat)
-			res.TotalFrames++
-			res.MaxLatencyMs = math.Max(res.MaxLatencyMs, lat)
-		}
-		// Forward to children; the no-copy iterator keeps the per-event
-		// hot path allocation-free.
-		t.ForEachChild(e.node, func(child int) {
-			heap.push(evItem{
-				at:     e.at + p.Cost[e.node][child] + cfg.HopOverheadMs,
-				node:   child,
-				stream: e.stream,
-				seq:    e.seq,
-				ord:    ord,
-			})
-			ord++
-		})
-	}
-
-	for _, st := range acc {
-		res.PerSubscription = append(res.PerSubscription, *st)
-	}
-	sort.Slice(res.PerSubscription, func(i, j int) bool {
-		a, b := res.PerSubscription[i], res.PerSubscription[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Stream.Less(b.Stream)
-	})
-	return res, nil
-}
-
 // VerifyLatencyBound checks that every simulated delivery respects the
 // forest's latency bound plus the per-hop overhead allowance.
-func VerifyLatencyBound(cfg Config, res *Result) error {
+func VerifyLatencyBound(cfg Config, res *EventResult) error {
 	bcost := cfg.Forest.Problem().Bcost
 	for _, st := range res.PerSubscription {
 		allowance := bcost + cfg.HopOverheadMs*float64(st.Hops)

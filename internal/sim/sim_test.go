@@ -33,7 +33,7 @@ func chainForest(t *testing.T) *overlay.Forest {
 func TestRunChainLatencies(t *testing.T) {
 	f := chainForest(t)
 	prof := stream.Profile{Width: 64, Height: 48, FPS: 10, CompressionRatio: 10}
-	res, err := Run(Config{Forest: f, Profile: prof, DurationMs: 1000})
+	res, err := RunEvents(Config{Forest: f, Profile: prof, DurationMs: 1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunChainLatencies(t *testing.T) {
 func TestHopOverhead(t *testing.T) {
 	f := chainForest(t)
 	prof := stream.Profile{Width: 64, Height: 48, FPS: 10, CompressionRatio: 10}
-	res, err := Run(Config{Forest: f, Profile: prof, DurationMs: 300, HopOverheadMs: 5})
+	res, err := RunEvents(Config{Forest: f, Profile: prof, DurationMs: 300, HopOverheadMs: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestVerifyLatencyBound(t *testing.T) {
 	f := chainForest(t)
 	prof := stream.Profile{Width: 64, Height: 48, FPS: 10, CompressionRatio: 10}
 	cfg := Config{Forest: f, Profile: prof, DurationMs: 500}
-	res, err := Run(cfg)
+	res, err := RunEvents(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,10 @@ func TestVerifyLatencyBound(t *testing.T) {
 	}
 }
 
-func TestPaperScaleSessionSatisfiesBound(t *testing.T) {
-	// A full paper-style instance: every accepted subscription must be
-	// served within Bcost at frame granularity.
+// paperForest builds a full paper-style instance: 8 sites, coverage-mode
+// subscriptions and random symmetric link costs, constructed by RJ.
+func paperForest(t *testing.T) *overlay.Forest {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	w, err := workload.Generate(workload.Config{
 		N: 8, Capacity: workload.CapacityUniform, Popularity: workload.PopularityRandom,
@@ -125,8 +126,15 @@ func TestPaperScaleSessionSatisfiesBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func TestPaperScaleSessionSatisfiesBound(t *testing.T) {
+	// Every accepted subscription must be served within Bcost at frame
+	// granularity.
+	f := paperForest(t)
 	cfg := Config{Forest: f, Profile: stream.DefaultProfile(), DurationMs: 2000}
-	res, err := Run(cfg)
+	res, err := RunEvents(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +159,13 @@ func TestPaperScaleSessionSatisfiesBound(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	f := chainForest(t)
 	prof := stream.Profile{Width: 64, Height: 48, FPS: 10, CompressionRatio: 10}
-	if _, err := Run(Config{Forest: nil, Profile: prof, DurationMs: 100}); err == nil {
+	if _, err := RunEvents(Config{Forest: nil, Profile: prof, DurationMs: 100}, nil); err == nil {
 		t.Error("nil forest accepted")
 	}
-	if _, err := Run(Config{Forest: f, Profile: stream.Profile{}, DurationMs: 100}); err == nil {
+	if _, err := RunEvents(Config{Forest: f, Profile: stream.Profile{}, DurationMs: 100}, nil); err == nil {
 		t.Error("invalid profile accepted")
 	}
-	if _, err := Run(Config{Forest: f, Profile: prof, DurationMs: 0}); err == nil {
+	if _, err := RunEvents(Config{Forest: f, Profile: prof, DurationMs: 0}, nil); err == nil {
 		t.Error("zero duration accepted")
 	}
 }

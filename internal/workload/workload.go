@@ -482,21 +482,3 @@ func generateSites(cfg Config, rng *rand.Rand) []Site {
 	}
 	return sites
 }
-
-// SampleSet draws the paper's standard batch of independent samples
-// (200 in §5.1) from a base seed, one deterministic sub-seed per sample.
-func SampleSet(cfg Config, samples int, baseSeed int64) ([]*Workload, error) {
-	if samples <= 0 {
-		return nil, fmt.Errorf("workload: samples=%d <= 0", samples)
-	}
-	out := make([]*Workload, 0, samples)
-	for s := 0; s < samples; s++ {
-		rng := rand.New(rand.NewSource(baseSeed + int64(s)*1_000_003))
-		w, err := Generate(cfg, rng)
-		if err != nil {
-			return nil, fmt.Errorf("workload: sample %d: %w", s, err)
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}

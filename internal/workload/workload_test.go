@@ -238,53 +238,3 @@ func TestGenerateErrors(t *testing.T) {
 		t.Error("N=1 accepted")
 	}
 }
-
-func TestSampleSetDeterministic(t *testing.T) {
-	cfg := baseCfg(4, CapacityUniform, PopularityRandom)
-	a, err := SampleSet(cfg, 5, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SampleSet(cfg, 5, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("lengths %d %d", len(a), len(b))
-	}
-	for s := range a {
-		if a[s].TotalRequests() != b[s].TotalRequests() {
-			t.Fatalf("sample %d differs across identical seeds", s)
-		}
-		for i := range a[s].Subs {
-			for k := range a[s].Subs[i] {
-				if a[s].Subs[i][k] != b[s].Subs[i][k] {
-					t.Fatalf("sample %d site %d sub %d differs", s, i, k)
-				}
-			}
-		}
-	}
-	// Different samples in a set should differ (w.h.p.).
-	same := true
-	for i := range a[0].Subs {
-		if len(a[0].Subs[i]) != len(a[1].Subs[i]) {
-			same = false
-			break
-		}
-		for k := range a[0].Subs[i] {
-			if a[0].Subs[i][k] != a[1].Subs[i][k] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Error("samples 0 and 1 are identical; sub-seeding broken")
-	}
-}
-
-func TestSampleSetErrors(t *testing.T) {
-	if _, err := SampleSet(baseCfg(4, CapacityUniform, PopularityRandom), 0, 1); err == nil {
-		t.Error("samples=0 accepted")
-	}
-}
