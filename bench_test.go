@@ -162,17 +162,15 @@ func BenchmarkAblationJoinPolicy(b *testing.B) {
 // BenchmarkAllToAllBaseline quantifies §1's claim that unicast all-to-all
 // cannot scale past two sites: rejection of AllToAll vs RJ at N=3..4.
 func BenchmarkAllToAllBaseline(b *testing.B) {
-	g, err := topology.Backbone(geo.DefaultLatencyModel())
-	if err != nil {
-		b.Fatal(err)
-	}
+	g, allCost := benchBackbone(b)
+	var sites topology.SiteSet
 	var uni, rj float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		uni, rj = 0, 0
 		for s := int64(0); s < benchSamples; s++ {
 			rng := rand.New(rand.NewSource(s*7919 + 3))
-			sites, err := topology.SelectSites(g, 3, rng)
-			if err != nil {
+			if err := g.SelectSitesInto(&sites, allCost, 3, rng); err != nil {
 				b.Fatal(err)
 			}
 			w, err := workload.Generate(workload.Config{
@@ -204,15 +202,26 @@ func BenchmarkAllToAllBaseline(b *testing.B) {
 
 // --- micro-benchmarks on the core building blocks ---
 
-func benchProblem(b *testing.B, n int) *overlay.Problem {
+// benchBackbone returns the default backbone and its all-pairs costs.
+func benchBackbone(b *testing.B) (*topology.Graph, [][]float64) {
 	b.Helper()
 	g, err := topology.Backbone(geo.DefaultLatencyModel())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(99))
-	sites, err := topology.SelectSites(g, n, rng)
+	allCost, err := g.CostMatrix()
 	if err != nil {
+		b.Fatal(err)
+	}
+	return g, allCost
+}
+
+func benchProblem(b *testing.B, n int) *overlay.Problem {
+	b.Helper()
+	g, allCost := benchBackbone(b)
+	rng := rand.New(rand.NewSource(99))
+	var sites topology.SiteSet
+	if err := g.SelectSitesInto(&sites, allCost, n, rng); err != nil {
 		b.Fatal(err)
 	}
 	w, err := workload.Generate(workload.Config{

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -154,5 +155,46 @@ func TestRunChurnBadProfile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, options{samples: 1, churn: true, churnRate: 0, churnMix: 0.5}); err == nil {
 		t.Error("zero churn rate accepted")
+	}
+}
+
+// TestRunLive drives -churn -live end to end: one seeded churn trace
+// replayed over TCP loopback next to its sim prediction. It asserts the
+// report's shape (header, one row per trace event, summary lines), not
+// wall-clock figures.
+func TestRunLive(t *testing.T) {
+	opts, err := parseFlags([]string{"-churn", "-live", "-liven", "3", "-livems", "1000", "-churnrate", "6"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, opts); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	var sites, events int
+	var ms float64
+	if _, err := fmt.Sscanf(lines[0], "# Live churn: %d sites, %d events over %fms", &sites, &events, &ms); err != nil {
+		t.Fatalf("header %q: %v", lines[0], err)
+	}
+	if sites != 3 || ms != 1000 || events == 0 {
+		t.Fatalf("header %q: want 3 sites, a non-empty trace over 1000ms", lines[0])
+	}
+	if !strings.HasPrefix(strings.TrimSpace(lines[1]), "event") {
+		t.Fatalf("column header %q", lines[1])
+	}
+	if len(lines) < 2+events+4 {
+		t.Fatalf("%d lines for %d events:\n%s", len(lines), events, buf.String())
+	}
+	for i := 0; i < events; i++ {
+		var idx int
+		if _, err := fmt.Sscanf(lines[2+i], "%d", &idx); err != nil || idx != i {
+			t.Fatalf("row %d is %q", i, lines[2+i])
+		}
+	}
+	rest := lines[2+events:]
+	if rest[0] != "" || !strings.HasPrefix(rest[1], "mean disruption: live ") ||
+		!strings.HasPrefix(rest[2], "frames delivered live: ") || rest[3] != "" {
+		t.Fatalf("summary after %d rows:\n%s", events, strings.Join(rest, "\n"))
 	}
 }

@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/tele3d/tele3d/internal/metrics"
 	"github.com/tele3d/tele3d/internal/overlay"
@@ -13,6 +15,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the session and writes the report to w.
+func run(w io.Writer) error {
 	s, err := session.Build(session.Spec{
 		N:               4,
 		CamerasPerSite:  8,
@@ -21,31 +30,32 @@ func main() {
 		Seed:            42,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("sites:")
+	fmt.Fprintln(w, "sites:")
 	for i, node := range s.Sites.Nodes {
-		fmt.Printf("  site %d: %s (%s)\n", i, node.City.Name, node.City.Country)
+		fmt.Fprintf(w, "  site %d: %s (%s)\n", i, node.City.Name, node.City.Country)
 	}
-	fmt.Printf("\nlatency bound: %.1f ms (median pairwise cost %.1f ms)\n",
+	fmt.Fprintf(w, "\nlatency bound: %.1f ms (median pairwise cost %.1f ms)\n",
 		s.Problem.Bcost, s.Sites.MedianCost())
-	fmt.Printf("subscription requests: %d\n", len(s.Problem.Requests))
+	fmt.Fprintf(w, "subscription requests: %d\n", len(s.Problem.Requests))
 
-	fmt.Println("\nmulticast forest:")
+	fmt.Fprintln(w, "\nmulticast forest:")
 	for _, t := range s.Forest.Trees() {
-		fmt.Printf("  tree %-6s rooted at site %d:", t.Stream, t.Source)
+		fmt.Fprintf(w, "  tree %-6s rooted at site %d:", t.Stream, t.Source)
 		for _, e := range t.Edges() {
-			fmt.Printf(" %d->%d", e[0], e[1])
+			fmt.Fprintf(w, " %d->%d", e[0], e[1])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Printf("\nrejection ratio: %.3f\n", metrics.Rejection(s.Forest))
+	fmt.Fprintf(w, "\nrejection ratio: %.3f\n", metrics.Rejection(s.Forest))
 	u := metrics.MeasureUtilization(s.Forest)
-	fmt.Printf("out-degree utilization: %.1f%% (relay share %.1f%%)\n",
+	fmt.Fprintf(w, "out-degree utilization: %.1f%% (relay share %.1f%%)\n",
 		100*u.MeanOut, 100*u.RelayFraction)
 	for _, r := range s.Forest.Rejected() {
-		fmt.Printf("rejected: %v\n", r)
+		fmt.Fprintf(w, "rejected: %v\n", r)
 	}
+	return nil
 }

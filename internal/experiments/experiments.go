@@ -296,8 +296,8 @@ func (r *Runner) AblationDynamic() ([]metrics.Series, error) {
 func (r *Runner) dynamicSample(s int) (inc, rebuild float64, err error) {
 	const n = 8
 	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(s)*1_000_003))
-	sites, err := topology.SelectSites(r.backbone, n, rng)
-	if err != nil {
+	var sites topology.SiteSet
+	if err := r.backbone.SelectSitesInto(&sites, r.allCost, n, rng); err != nil {
 		return 0, 0, err
 	}
 	w, err := workload.Generate(workload.Config{

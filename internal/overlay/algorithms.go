@@ -51,7 +51,19 @@ func sortGroups(ws *Workspace, p *Problem, groups []Group, order groupOrder) {
 	}
 	var fc []int
 	if order == orderMinCapacityFirst {
-		fc = p.ForwardingCapacity()
+		// Forwarding capacity O_i - m_i (§4.3.2): the out-degree left
+		// for relaying after each local subscribed stream is sent out
+		// once. Each group is one distinct requested stream, so m_i is
+		// the number of groups sourced at i.
+		if ws != nil {
+			ws.fc = append(ws.fc[:0], p.Out...)
+			fc = ws.fc
+		} else {
+			fc = append([]int(nil), p.Out...)
+		}
+		for _, g := range groups {
+			fc[g.Source()]--
+		}
 	}
 	// rank maps a group to the signed value the criterion sorts ascending.
 	rank := func(g Group) int64 {

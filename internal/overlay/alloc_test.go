@@ -123,11 +123,10 @@ func TestBatchApplySteadyStateZeroAllocs(t *testing.T) {
 // TestConstructWithSteadyStateZeroAllocs pins the construction hot path
 // the experiment engines run: repeated ConstructWith calls on the same
 // problem over one recycled Workspace must not allocate once the
-// workspace has reached working size. MCTF is left out: its
-// capacity-ordered group sort still allocates per construction.
+// workspace has reached working size.
 func TestConstructWithSteadyStateZeroAllocs(t *testing.T) {
 	p := simpleProblem(t, 6, 5, 3, 20, 20, 50)
-	for _, alg := range []Algorithm{RJ{}, LTF{}, STF{}, CORJ{}, GranLTF{G: 2}} {
+	for _, alg := range []Algorithm{RJ{}, LTF{}, STF{}, MCTF{}, CORJ{}, GranLTF{G: 2}} {
 		var ws Workspace
 		rng := rand.New(rand.NewSource(99))
 		cycle := func() {

@@ -393,7 +393,7 @@ func (f *Forest) Reset(p *Problem) error {
 	}
 	// Seed the reservation counters m̂ (the paper's m_i: streams a site
 	// must send at least once) and the per-stream request counts in one
-	// pass, replacing Problem.StreamsToSend's map-based tally.
+	// pass.
 	for _, r := range p.Requests {
 		s := f.slot(r.Stream)
 		if s.reqs == 0 {

@@ -280,30 +280,3 @@ func (p *Problem) RequestMatrix() [][]int {
 	}
 	return u
 }
-
-// StreamsToSend returns m where m[i] is the number of streams originating
-// at node i that are subscribed by at least one other RP (the paper's
-// m_i), which seeds the reservation counters m̂_i.
-func (p *Problem) StreamsToSend() []int {
-	m := make([]int, p.N())
-	seen := make(map[stream.ID]bool)
-	for _, r := range p.Requests {
-		if !seen[r.Stream] {
-			seen[r.Stream] = true
-			m[r.Stream.Site]++
-		}
-	}
-	return m
-}
-
-// ForwardingCapacity returns O_i - m_i for every node: the out-degree left
-// for relaying after each local subscribed stream is sent out once (§4.3.2,
-// used by MCTF).
-func (p *Problem) ForwardingCapacity() []int {
-	m := p.StreamsToSend()
-	fc := make([]int, p.N())
-	for i := range fc {
-		fc[i] = p.Out[i] - m[i]
-	}
-	return fc
-}

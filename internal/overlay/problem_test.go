@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tele3d/tele3d/internal/stream"
@@ -157,20 +159,45 @@ func TestGroups(t *testing.T) {
 	}
 }
 
-func TestStreamsToSendAndForwardingCapacity(t *testing.T) {
-	p := simpleProblem(t, 3, 5, 2, 10, 10, 50)
-	m := p.StreamsToSend()
-	// Each site's streams 0 and 1 are subscribed by both other sites.
-	for i, v := range m {
-		if v != 2 {
-			t.Errorf("m[%d] = %d, want 2", i, v)
+// forwardingCapacityTally is the map-based oracle for MCTF's forwarding
+// capacity O_i - m_i, m_i being the number of distinct streams
+// originating at node i that at least one other RP requests.
+func forwardingCapacityTally(p *Problem) []int {
+	fc := append([]int(nil), p.Out...)
+	seen := make(map[stream.ID]bool)
+	for _, r := range p.Requests {
+		if !seen[r.Stream] {
+			seen[r.Stream] = true
+			fc[r.Stream.Site]--
 		}
 	}
-	fc := p.ForwardingCapacity()
-	for i, v := range fc {
+	return fc
+}
+
+// TestSortGroupsForwardingCapacity checks the forwarding capacity
+// sortGroups derives from the groups against the map tally, on a fixed
+// problem and on random ones.
+func TestSortGroupsForwardingCapacity(t *testing.T) {
+	check := func(name string, p *Problem) []int {
+		t.Helper()
+		var ws Workspace
+		sortGroups(&ws, p, ws.groupsFor(p), orderMinCapacityFirst)
+		want := forwardingCapacityTally(p)
+		if !slices.Equal(ws.fc, want) {
+			t.Errorf("%s: forwarding capacity %v, want %v", name, ws.fc, want)
+		}
+		return ws.fc
+	}
+	// Each site's streams 0 and 1 are subscribed by both other sites:
+	// m_i = 2 of O_i = 10.
+	for i, v := range check("fixed", simpleProblem(t, 3, 5, 2, 10, 10, 50)) {
 		if v != 8 {
 			t.Errorf("fc[%d] = %d, want 8", i, v)
 		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		n := 3 + int(seed)%8
+		check(fmt.Sprintf("random seed %d", seed), randomProblem(t, n, workload.CapacityHeterogeneous, workload.PopularityZipfSites, seed))
 	}
 }
 

@@ -30,6 +30,7 @@ type Workspace struct {
 	u       [][]int  // CO-RJ request matrix
 	keys    []uint64 // packed sort keys (splitGroups, sortGroups)
 	gsort   []Group  // group permutation scratch (sortGroups)
+	fc      []int    // MCTF forwarding capacity (sortGroups)
 }
 
 // forestFor resets the workspace's forest for the problem.

@@ -128,7 +128,8 @@ type Config struct {
 
 	// RetryStats, when non-nil, is the shared counter dial retries are
 	// recorded into (the live session aggregates one across all its
-	// nodes); nil means a private counter readable via Retries.
+	// nodes); nil means a private counter nothing reads, so pass one to
+	// observe retries.
 	RetryStats *transport.RetryStats
 
 	// ResubFloor seeds the node's resubscribe-ID high-water mark. A

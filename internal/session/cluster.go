@@ -1,7 +1,7 @@
 package session
 
-// cluster.go scales the live plane past the backbone's PoP count: a
-// cluster session maps N sites round-robin onto the 40 backbone PoPs
+// cluster.go scales the live plane past the backbone's PoP count: Build
+// places a cluster's N sites round-robin on the 40 backbone PoPs
 // (co-located sites a metro link apart) and RunCluster boots the whole
 // membership+RP stack — the identical protocol code the TCP plane runs —
 // on an in-memory transport.VirtualNetwork whose links carry the
@@ -36,43 +36,18 @@ import (
 	"github.com/tele3d/tele3d/internal/rp"
 	"github.com/tele3d/tele3d/internal/sim"
 	"github.com/tele3d/tele3d/internal/stream"
-	"github.com/tele3d/tele3d/internal/topology"
 	"github.com/tele3d/tele3d/internal/transport"
 	"github.com/tele3d/tele3d/internal/workload"
 )
 
-// ClusterSpec describes a cluster session to assemble: Spec's knobs,
-// with N allowed to exceed the backbone PoP count.
+// ClusterSpec is Spec under the name the benchmark binds to (see
+// bench/README.md, "Public functions the benchmark binds to").
 type ClusterSpec struct {
-	// Spec carries the shared session knobs (N, cameras, displays, caps,
-	// latency bound, algorithm, seed).
 	Spec
-	// LocalCostMs is the one-way latency between sites co-located on a
-	// PoP; 0 means topology.DefaultLocalCostMs.
-	LocalCostMs float64
 }
 
-// BuildCluster assembles an N-site session with sites expanded over the
-// backbone (round-robin over a seeded PoP permutation) instead of
-// selected from it, so N may exceed the PoP count. The rest of the
-// pipeline — rigs, FOVs, aggregated subscriptions, forest construction —
-// is exactly Build's.
-func BuildCluster(cs ClusterSpec) (*Session, error) {
-	spec, err := cs.Spec.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	backbone, _, err := defaultBackbone()
-	if err != nil {
-		return nil, err
-	}
-	sites, err := topology.ExpandSites(backbone, spec.N, cs.LocalCostMs, rng)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(spec, sites, rng)
-}
+// BuildCluster is Build, kept for the benchmark's bindings.
+func BuildCluster(cs ClusterSpec) (*Session, error) { return Build(cs.Spec) }
 
 // tenantSeedStride separates tenant seed streams: tenant i builds with
 // Seed + i*tenantSeedStride, so tenant 0 keeps the configured seed
@@ -81,10 +56,10 @@ const tenantSeedStride = 1_000_003
 
 // ClusterConfig parameterizes one virtual-fabric cluster run.
 type ClusterConfig struct {
-	// Spec describes the cluster session; see ClusterSpec. With Tenants
-	// set, Spec.N must be 0 and the rest of Spec (rig, caps, latency
-	// bound, algorithm, seed, LocalCostMs) is the default every tenant
-	// class starts from.
+	// Spec describes the cluster session, as Build takes it. With
+	// Tenants set, Spec.N must be 0 and the rest of Spec (rig, caps,
+	// latency bound, algorithm, seed) is the default every tenant class
+	// starts from.
 	Spec ClusterSpec
 	// Tenants, when it has classes, serves K tenants over one fabric
 	// (see workload.MultiTenantSpec); tenant i builds with seed
@@ -262,15 +237,15 @@ func BuildTenants(cfg ClusterConfig) ([]*TenantRun, error) {
 // build assembles, admits and plans one tenant.
 func (r *TenantRun) build(cfg ClusterConfig, sc Scenario, adm *rp.Admission) error {
 	tn := r.Tenant
-	cs := cfg.Spec
-	cs.N, cs.Seed = tn.Sites, cfg.Spec.Seed+int64(tn.Index)*tenantSeedStride
+	spec := cfg.Spec.Spec
+	spec.N, spec.Seed = tn.Sites, cfg.Spec.Seed+int64(tn.Index)*tenantSeedStride
 	if tn.CamerasPerSite > 0 {
-		cs.CamerasPerSite = tn.CamerasPerSite
+		spec.CamerasPerSite = tn.CamerasPerSite
 	}
 	if tn.DisplaysPerSite > 0 {
-		cs.DisplaysPerSite = tn.DisplaysPerSite
+		spec.DisplaysPerSite = tn.DisplaysPerSite
 	}
-	s, err := BuildCluster(cs)
+	s, err := Build(spec)
 	if err != nil {
 		return err
 	}
@@ -279,8 +254,8 @@ func (r *TenantRun) build(cfg ClusterConfig, sc Scenario, adm *rp.Admission) err
 		Profile:         cfg.Profile,
 		DurationMs:      cfg.DurationMs,
 		DrainMs:         cfg.DrainMs,
-		Algorithm:       cs.Algorithm,
-		Seed:            cs.Seed,
+		Algorithm:       spec.Algorithm,
+		Seed:            spec.Seed,
 		Shards:          cfg.Shards,
 		FlushIntervalMs: cfg.FlushIntervalMs,
 		Tenant:          tn.Index,
@@ -312,7 +287,7 @@ func (r *TenantRun) build(cfg ClusterConfig, sc Scenario, adm *rp.Admission) err
 		}
 	}
 
-	seed := cs.Seed
+	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
 	}

@@ -12,14 +12,13 @@ import (
 	"github.com/tele3d/tele3d/internal/workload"
 )
 
-// TestBuildClusterBeyondPoPCount checks cluster assembly past the
-// backbone's 40 PoPs: the whole FOV pipeline runs and the forest
-// validates.
+// TestBuildClusterBeyondPoPCount checks Build past the backbone's 40
+// PoPs: the whole FOV pipeline runs and the forest validates.
 func TestBuildClusterBeyondPoPCount(t *testing.T) {
-	s, err := BuildCluster(ClusterSpec{Spec: Spec{
+	s, err := Build(Spec{
 		N: 120, CamerasPerSite: 1, DisplaysPerSite: 1,
 		Algorithm: overlay.RJ{}, Seed: 3,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

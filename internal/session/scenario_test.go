@@ -21,7 +21,7 @@ func scenarioSession(t *testing.T) (*Session, ClusterConfig) {
 		}},
 		Churn: workload.ChurnProfile{RatePerSec: 2, ViewChangeMix: 0.7},
 	}.withDefaults()
-	s, err := BuildCluster(cfg.Spec)
+	s, err := Build(cfg.Spec.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

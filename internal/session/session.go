@@ -1,7 +1,9 @@
-// Package session assembles complete multi-site 3DTI sessions: it places
-// sites on the backbone, builds their camera rigs and cyber-space, derives
-// subscription workloads from per-display fields of view (§3.2), and
-// constructs the dissemination overlay — the full pipeline of Figure 3.
+// Package session assembles complete multi-site 3DTI sessions: Build,
+// the one builder, places sites on the backbone (co-locating them
+// round-robin once N exceeds its PoP count), builds their camera rigs and
+// cyber-space, derives subscription workloads from per-display fields of
+// view (§3.2), and constructs the dissemination overlay — the full
+// pipeline of Figure 3.
 package session
 
 import (
@@ -109,9 +111,10 @@ func (spec Spec) withDefaults() (Spec, error) {
 	return spec, nil
 }
 
-// Build assembles the session: random backbone sites, rigs, per-display
-// FOVs pointed at other participants, aggregated subscriptions, and the
-// constructed forest.
+// Build assembles the session: N >= 2 sites on random backbone PoPs
+// (co-located round-robin once N exceeds the PoP count), rigs,
+// cyber-space, per-display FOVs pointed at other participants,
+// aggregated subscriptions, and the constructed forest.
 func Build(spec Spec) (*Session, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
@@ -123,21 +126,11 @@ func Build(spec Spec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// SelectSitesInto consumes exactly the same rng draws as SelectSites
-	// and reads costs from the cached all-pairs matrix, so seeds keep
-	// their meaning while Build skips the per-call Dijkstra runs.
 	sites := &topology.SiteSet{}
 	if err := backbone.SelectSitesInto(sites, allCost, spec.N, rng); err != nil {
 		return nil, err
 	}
-	return assemble(spec, sites, rng)
-}
 
-// assemble is the site-selection-independent tail of session building:
-// rigs, cyber-space, per-display FOVs, aggregated subscriptions and the
-// constructed forest over the given site set. It consumes the rng exactly
-// as the historical Build body did, so seeds keep their meaning.
-func assemble(spec Spec, sites *topology.SiteSet, rng *rand.Rand) (*Session, error) {
 	cams := make([]int, spec.N)
 	for i := range cams {
 		cams[i] = spec.CamerasPerSite

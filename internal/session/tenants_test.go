@@ -76,13 +76,13 @@ func TestSingleTenantBuildMatchesSingleSession(t *testing.T) {
 			t.Fatalf("site %d has no uplink name", i)
 		}
 	}
-	// And the no-spec step is BuildCluster's session.
-	direct, err := BuildCluster(ClusterSpec{Spec: Spec{N: sites, Seed: seed}})
+	// And the no-spec step is Build's session.
+	direct, err := Build(Spec{N: sites, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s.Session.Forest, direct.Forest) || !reflect.DeepEqual(s.Session.Workload, direct.Workload) {
-		t.Error("single-session run differs from BuildCluster")
+		t.Error("single-session run differs from Build")
 	}
 	// Without a spec the run books nothing: no controller, no uplinks.
 	if s.Config.Admission != nil || s.Config.Uplinks != nil || s.AdmittedStart != 0 {

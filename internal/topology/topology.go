@@ -345,129 +345,24 @@ func (s *SiteSet) MedianCost() float64 {
 	return vals[len(vals)/2]
 }
 
-// MaxCost returns the maximum pairwise cost in the set.
-func (s *SiteSet) MaxCost() float64 {
-	var m float64
-	for i := range s.Cost {
-		for j := range s.Cost[i] {
-			if i != j && s.Cost[i][j] > m {
-				m = s.Cost[i][j]
-			}
-		}
-	}
-	return m
-}
-
-// SelectSites picks n distinct PoPs uniformly at random (paper §5.1:
-// "We randomly select 3-10 nodes") and returns the site set with the
-// shortest-path cost matrix restricted to the selection.
-func SelectSites(g *Graph, n int, rng *rand.Rand) (*SiteSet, error) {
-	if n < 1 || n > g.NumNodes() {
-		return nil, fmt.Errorf("topology: cannot select %d sites from %d nodes", n, g.NumNodes())
-	}
-	if rng == nil {
-		return nil, errors.New("topology: nil rng")
-	}
-	perm := rng.Perm(g.NumNodes())[:n]
-	nodes := make([]Node, n)
-	for i, p := range perm {
-		nd, err := g.Node(NodeID(p))
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-	}
-	cost := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		full, err := g.ShortestPaths(nodes[i].ID)
-		if err != nil {
-			return nil, err
-		}
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			cost[i][j] = full[nodes[j].ID]
-		}
-	}
-	return &SiteSet{Nodes: nodes, Cost: cost}, nil
-}
-
-// DefaultLocalCostMs is the one-way latency assumed between two sites
+// CoLocatedCostMs is the one-way latency assumed between two sites
 // hosted on the same backbone PoP (a metro-area link): co-located sites
-// in an expanded cluster are near, not free, keeping every off-diagonal
+// in a large cluster are near, not free, keeping every off-diagonal
 // cost positive as the overlay problem requires.
-const DefaultLocalCostMs = 1.0
+const CoLocatedCostMs = 1.0
 
-// ExpandSites maps n sites onto the backbone's PoPs so clusters far
-// larger than the PoP count can be built: PoPs are visited round-robin
-// in a seeded random order, site i landing on the (i mod NumNodes)-th
-// PoP of the permutation. The pairwise cost matrix restricts the
-// backbone's shortest-path costs to the chosen PoPs, with co-located
-// sites separated by localMs (0 means DefaultLocalCostMs). For
-// n <= NumNodes and the same rng state the first n draws match
-// SelectSites' permutation, so small expansions select the same PoPs.
-func ExpandSites(g *Graph, n int, localMs float64, rng *rand.Rand) (*SiteSet, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topology: cannot expand to %d sites", n)
-	}
-	if rng == nil {
-		return nil, errors.New("topology: nil rng")
-	}
-	if localMs == 0 {
-		localMs = DefaultLocalCostMs
-	}
-	if localMs < 0 || math.IsNaN(localMs) {
-		return nil, fmt.Errorf("topology: local cost %v must be positive", localMs)
-	}
-	perm := rng.Perm(g.NumNodes())
-	nodes := make([]Node, n)
-	pops := make([]int, n) // site -> permutation slot of its PoP
-	for i := 0; i < n; i++ {
-		p := perm[i%len(perm)]
-		nd, err := g.Node(NodeID(p))
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-		pops[i] = perm[i%len(perm)]
-	}
-	// One Dijkstra per distinct PoP, shared by every site it hosts.
-	popDist := make(map[int][]float64, g.NumNodes())
-	for _, p := range pops {
-		if _, ok := popDist[p]; ok {
-			continue
-		}
-		d, err := g.ShortestPaths(NodeID(p))
-		if err != nil {
-			return nil, err
-		}
-		popDist[p] = d
-	}
-	cost := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		cost[i] = make([]float64, n)
-		di := popDist[pops[i]]
-		for j := 0; j < n; j++ {
-			switch {
-			case i == j:
-				cost[i][j] = 0
-			case pops[i] == pops[j]:
-				cost[i][j] = localMs
-			default:
-				cost[i][j] = di[pops[j]]
-			}
-		}
-	}
-	return &SiteSet{Nodes: nodes, Cost: cost}, nil
-}
-
-// SelectSitesInto is SelectSites against a precomputed all-pairs cost
-// matrix (CostMatrix), reusing dst's storage: no Dijkstra runs and, at
-// steady state, no allocation. It consumes exactly the same rng draws as
-// SelectSites, so a run using either variant sees identical selections.
+// SelectSitesInto places n sites on random backbone PoPs (paper §5.1:
+// "We randomly select 3-10 nodes"): site i lands on the (i mod
+// NumNodes)-th PoP of a seeded permutation, so up to NumNodes sites get
+// distinct PoPs and larger clusters co-locate round-robin. dst.Cost
+// restricts the precomputed all-pairs matrix (CostMatrix) to the chosen
+// PoPs, with co-located sites CoLocatedCostMs apart. dst's storage is
+// reused: no Dijkstra runs and, at steady state, nothing is allocated.
+// The rng advances exactly as rng.Perm(NumNodes) would advance it.
 func (g *Graph) SelectSitesInto(dst *SiteSet, allCost [][]float64, n int, rng *rand.Rand) error {
 	total := g.NumNodes()
-	if n < 1 || n > total {
-		return fmt.Errorf("topology: cannot select %d sites from %d nodes", n, total)
+	if n < 1 || total == 0 {
+		return fmt.Errorf("topology: cannot place %d sites on %d nodes", n, total)
 	}
 	if rng == nil {
 		return errors.New("topology: nil rng")
@@ -481,14 +376,14 @@ func (g *Graph) SelectSitesInto(dst *SiteSet, allCost [][]float64, n int, rng *r
 		dst.perm = make([]int, total)
 	}
 	permInto(rng, dst.perm)
-	sel := dst.perm[:n]
+	pop := func(i int) int { return dst.perm[i%total] }
 	if cap(dst.Nodes) >= n {
 		dst.Nodes = dst.Nodes[:n]
 	} else {
 		dst.Nodes = make([]Node, n)
 	}
-	for i, p := range sel {
-		dst.Nodes[i] = g.nodes[p]
+	for i := range dst.Nodes {
+		dst.Nodes[i] = g.nodes[pop(i)]
 	}
 	if cap(dst.Cost) >= n {
 		dst.Cost = dst.Cost[:n]
@@ -501,9 +396,14 @@ func (g *Graph) SelectSitesInto(dst *SiteSet, allCost [][]float64, n int, rng *r
 		} else {
 			dst.Cost[i] = make([]float64, n)
 		}
-		row := allCost[sel[i]]
+		pi := pop(i)
+		row := allCost[pi]
 		for j := 0; j < n; j++ {
-			dst.Cost[i][j] = row[sel[j]]
+			c := row[pop(j)]
+			if i != j && pop(j) == pi {
+				c = CoLocatedCostMs
+			}
+			dst.Cost[i][j] = c
 		}
 	}
 	return nil

@@ -134,13 +134,30 @@ func TestCostMatrixSymmetricAndMetricish(t *testing.T) {
 	}
 }
 
+// testCost returns the backbone's all-pairs cost matrix.
+func testCost(t *testing.T, g *Graph) [][]float64 {
+	t.Helper()
+	all, err := g.CostMatrix()
+	if err != nil {
+		t.Fatalf("CostMatrix: %v", err)
+	}
+	return all
+}
+
+// selectSites places n sites into a fresh SiteSet.
+func selectSites(g *Graph, all [][]float64, n int, rng *rand.Rand) (*SiteSet, error) {
+	ss := &SiteSet{}
+	return ss, g.SelectSitesInto(ss, all, n, rng)
+}
+
 func TestSelectSites(t *testing.T) {
 	g := testBackbone(t)
+	all := testCost(t, g)
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{3, 5, 10} {
-		ss, err := SelectSites(g, n, rng)
+		ss, err := selectSites(g, all, n, rng)
 		if err != nil {
-			t.Fatalf("SelectSites(%d): %v", n, err)
+			t.Fatalf("SelectSitesInto(%d): %v", n, err)
 		}
 		if ss.N() != n {
 			t.Fatalf("N() = %d, want %d", ss.N(), n)
@@ -163,44 +180,94 @@ func TestSelectSites(t *testing.T) {
 				if i != j && (ss.Cost[i][j] <= 0 || math.IsInf(ss.Cost[i][j], 1)) {
 					t.Errorf("bad pairwise cost [%d][%d] = %v", i, j, ss.Cost[i][j])
 				}
+				if want := all[ss.Nodes[i].ID][ss.Nodes[j].ID]; ss.Cost[i][j] != want {
+					t.Errorf("Cost[%d][%d] = %v, want the backbone's %v", i, j, ss.Cost[i][j], want)
+				}
 			}
 		}
 		if ss.MedianCost() <= 0 {
 			t.Error("median cost should be positive")
-		}
-		if ss.MaxCost() < ss.MedianCost() {
-			t.Error("max cost below median cost")
 		}
 	}
 }
 
 func TestSelectSitesErrors(t *testing.T) {
 	g := testBackbone(t)
+	all := testCost(t, g)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := SelectSites(g, 0, rng); err == nil {
+	if _, err := selectSites(g, all, 0, rng); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := SelectSites(g, g.NumNodes()+1, rng); err == nil {
-		t.Error("n>nodes accepted")
-	}
-	if _, err := SelectSites(g, 3, nil); err == nil {
+	if _, err := selectSites(g, all, 3, nil); err == nil {
 		t.Error("nil rng accepted")
+	}
+	if _, err := selectSites(g, all[1:], 3, rng); err == nil {
+		t.Error("matrix of the wrong size accepted")
 	}
 }
 
 func TestSelectSitesDeterministicWithSeed(t *testing.T) {
 	g := testBackbone(t)
-	a, err := SelectSites(g, 6, rand.New(rand.NewSource(42)))
+	all := testCost(t, g)
+	a, err := selectSites(g, all, 6, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectSites(g, 6, rand.New(rand.NewSource(42)))
+	b, err := selectSites(g, all, 6, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Nodes {
 		if a.Nodes[i].ID != b.Nodes[i].ID {
 			t.Fatalf("selection differs at %d with same seed", i)
+		}
+	}
+}
+
+// TestSelectSitesDrawsLikePerm pins the placement to rng.Perm: site i
+// sits on the (i mod NumNodes)-th PoP of the permutation a twin rng
+// draws, and both rngs agree on the next draw, so every seed keeps its
+// meaning for whatever the caller draws after placement.
+func TestSelectSitesDrawsLikePerm(t *testing.T) {
+	g := testBackbone(t)
+	all := testCost(t, g)
+	for _, n := range []int{1, 10, g.NumNodes(), 100} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng, twin := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			ss, err := selectSites(g, all, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm := twin.Perm(g.NumNodes())
+			for i, nd := range ss.Nodes {
+				if int(nd.ID) != perm[i%len(perm)] {
+					t.Fatalf("n=%d seed %d: site %d on PoP %d, want %d", n, seed, i, nd.ID, perm[i%len(perm)])
+				}
+			}
+			if got, want := rng.Int63(), twin.Int63(); got != want {
+				t.Fatalf("n=%d seed %d: next draw %d, twin after Perm draws %d", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectSitesSteadyStateZeroAllocs pins the reuse the Monte-Carlo
+// engine relies on: repeated placements into one SiteSet allocate
+// nothing once it has reached working size.
+func TestSelectSitesSteadyStateZeroAllocs(t *testing.T) {
+	g := testBackbone(t)
+	all := testCost(t, g)
+	for _, n := range []int{10, 100} {
+		var ss SiteSet
+		rng := rand.New(rand.NewSource(3))
+		place := func() {
+			if err := g.SelectSitesInto(&ss, all, n, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		place()
+		if allocs := testing.AllocsPerRun(50, place); allocs != 0 {
+			t.Errorf("n=%d: SelectSitesInto allocates %.1f times per run, want 0", n, allocs)
 		}
 	}
 }
@@ -250,21 +317,20 @@ func mustAdd(t *testing.T, g *Graph, a, b NodeID, cost float64) {
 	}
 }
 
-// TestExpandSites covers the cluster expansion: sites beyond the PoP
-// count co-locate, every off-diagonal cost is positive and symmetric,
-// and the expansion is deterministic in the seed.
-func TestExpandSites(t *testing.T) {
-	g, err := Backbone(geo.DefaultLatencyModel())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSelectSitesBeyondPoPCount covers clusters larger than the
+// backbone: sites beyond the PoP count co-locate, every off-diagonal
+// cost is positive and symmetric, and the placement is deterministic in
+// the seed.
+func TestSelectSitesBeyondPoPCount(t *testing.T) {
+	g := testBackbone(t)
+	all := testCost(t, g)
 	const n = 100 // > 40 PoPs: forces co-location
-	sites, err := ExpandSites(g, n, 0, rand.New(rand.NewSource(9)))
+	sites, err := selectSites(g, all, n, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sites.N() != n || len(sites.Cost) != n {
-		t.Fatalf("expanded to %d sites, cost %d rows", sites.N(), len(sites.Cost))
+		t.Fatalf("placed %d sites, cost %d rows", sites.N(), len(sites.Cost))
 	}
 	coLocated := 0
 	for i := 0; i < n; i++ {
@@ -280,14 +346,14 @@ func TestExpandSites(t *testing.T) {
 				t.Fatalf("Cost[%d][%d] = %v, want positive finite", i, j, c)
 			}
 			// Dijkstra summation order differs per source row, so
-			// symmetry holds only to rounding (as in SelectSites).
+			// symmetry holds only to rounding.
 			if math.Abs(c-sites.Cost[j][i]) > 1e-9*c {
 				t.Fatalf("asymmetric cost at (%d,%d): %v vs %v", i, j, c, sites.Cost[j][i])
 			}
 			if sites.Nodes[i].ID == sites.Nodes[j].ID {
 				coLocated++
-				if c != DefaultLocalCostMs {
-					t.Fatalf("co-located pair (%d,%d) cost %v, want %v", i, j, c, DefaultLocalCostMs)
+				if c != CoLocatedCostMs {
+					t.Fatalf("co-located pair (%d,%d) cost %v, want %v", i, j, c, CoLocatedCostMs)
 				}
 			}
 		}
@@ -296,39 +362,25 @@ func TestExpandSites(t *testing.T) {
 		t.Fatal("100 sites on 40 PoPs produced no co-located pair")
 	}
 
-	again, err := ExpandSites(g, n, 0, rand.New(rand.NewSource(9)))
+	again, err := selectSites(g, all, n, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range sites.Nodes {
 		if sites.Nodes[i].ID != again.Nodes[i].ID {
-			t.Fatalf("expansion not deterministic at site %d", i)
+			t.Fatalf("placement not deterministic at site %d", i)
 		}
 	}
 
-	// Same seed, n <= PoP count: ExpandSites picks the PoPs SelectSites
-	// would, so small clusters are comparable across the two paths.
-	small, err := ExpandSites(g, 10, 0, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := SelectSites(g, 10, rand.New(rand.NewSource(4)))
+	// Same seed, n <= PoP count: a small placement is the prefix of a
+	// large one, so small clusters are comparable with large ones.
+	small, err := selectSites(g, all, 10, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range small.Nodes {
-		if small.Nodes[i].ID != sel.Nodes[i].ID {
-			t.Fatalf("site %d: ExpandSites PoP %d, SelectSites PoP %d", i, small.Nodes[i].ID, sel.Nodes[i].ID)
+		if small.Nodes[i].ID != sites.Nodes[i].ID {
+			t.Fatalf("site %d: 10-site placement PoP %d, 100-site placement PoP %d", i, small.Nodes[i].ID, sites.Nodes[i].ID)
 		}
-	}
-
-	if _, err := ExpandSites(g, 0, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := ExpandSites(g, 4, -1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("negative local cost accepted")
-	}
-	if _, err := ExpandSites(g, 4, 0, nil); err == nil {
-		t.Error("nil rng accepted")
 	}
 }
