@@ -204,6 +204,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimEvents$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzAdmission$$' -fuzztime 20s ./internal/rp
 	$(GO) test -run '^$$' -fuzz '^FuzzShardSync$$' -fuzztime 20s ./internal/rp
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRoutes$$' -fuzztime 20s ./internal/membership
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s ./internal/transport
 
 # cover prints per-package statement coverage for the internal tree; CI

@@ -18,9 +18,14 @@
 // diffs (view changes, joins, leaves) mid-session. Diffs are applied to
 // the live forest through the overlay's dynamic Subscribe/Unsubscribe
 // operations, the shard epoch is bumped, and per-site routing deltas
-// (MsgRoutesUpdate) are pushed to the affected RPs only. With a positive
-// FlushIntervalMs a burst of churn is coalesced into one delta per site
-// per flush instead of one rebuild per event.
+// (MsgRoutesUpdate) are pushed to the affected RPs only. A flush never
+// rebuilds the N per-site tables: dynamic ops change only the requested
+// stream's tree, so the server records the sites whose entries they can
+// alter (the tree's members before the op, the requester, the source),
+// patches exactly those entries from the live forest and diffs only
+// those sites, so a flush costs O(what changed), not O(N). With a
+// positive FlushIntervalMs a burst of churn is coalesced into one delta
+// per site per flush instead of one per event.
 //
 // Failover needs no replication protocol: a standby is simply a fresh
 // Server for the same shard. RPs that lose the shard's control
@@ -33,11 +38,13 @@
 package membership
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -76,9 +83,10 @@ type Config struct {
 	Shard int
 	// FlushIntervalMs batches route distribution: received diffs are
 	// queued and each flush applies the whole window as one overlay batch
-	// plus one route rebuild, with one epoch bump per interval. 0 flushes
-	// inline after every event (legacy behaviour, one epoch per diff —
-	// internally a single-event batch with an immediate flush).
+	// plus one patch of the routing entries it touched, with one epoch
+	// bump per interval. 0 flushes inline after every event (legacy
+	// behaviour, one epoch per diff — internally a single-event batch
+	// with an immediate flush).
 	FlushIntervalMs float64
 	// Tenant is the session's tenant index in a multi-tenant plane; 0
 	// (the default) keeps the legacy shard keying bit for bit. It must
@@ -104,12 +112,14 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	forest *overlay.Forest
-	// cur is the last full routing table dictated to each site; deltas
-	// are computed against it.
+	// cur is the routing table each site holds: built once at boot, then
+	// patched in place by every flush (its Epoch field is not kept
+	// current). Between flushes it equals buildRoutes of the forest as
+	// of the last flush; deltas are computed against it.
 	cur map[int]*transport.Routes
 	// meshPeers is the session's static mesh: peer dial addresses are
-	// fixed at registration, so every routing rebuild shares this map
-	// instead of reallocating O(N^2) entries per churn event.
+	// fixed at registration, so every site's table shares this map
+	// instead of holding its own O(N) copy.
 	meshPeers map[int]string
 	// epoch is the shard's routing-table version; bumped once per flush.
 	epoch uint64
@@ -135,6 +145,17 @@ type Server struct {
 	pendingResubs []*transport.Resubscribe
 	batch         overlay.Batch
 	opCounts      []int
+	// touched lists the routing entries the forest changes since the last
+	// flush may have altered, and touchedTrees the streams whose members
+	// are already listed (see touchLocked); the next flush patches exactly
+	// these entries of cur. flushSites, updates and children are the
+	// flush's reusable scratch: the sites it visits, one delta per
+	// visited site, and one child list.
+	touched      []siteStream
+	touchedTrees map[stream.ID]struct{}
+	flushSites   []int
+	updates      []transport.RoutesUpdate
+	children     []int
 	// Per-phase maintenance timings (see PhaseStats).
 	phaseConstructNs  int64
 	phaseBatchApplyNs int64
@@ -207,10 +228,10 @@ func New(cfg Config) (*Server, error) {
 		ln:           ln,
 		sites:        make(map[int]*siteState),
 		conns:        make(map[net.Conn]struct{}),
-		cur:          make(map[int]*transport.Routes),
 		lastResub:    make(map[int]uint64),
 		pendingAcks:  make(map[int][]transport.Ack),
 		pendingPeers: make(map[int]string),
+		touchedTrees: make(map[stream.ID]struct{}),
 		ready:        make(chan struct{}),
 		errCh:        make(chan error, cfg.N+1),
 	}, nil
@@ -244,9 +265,11 @@ func (s *Server) Forest() *overlay.Forest {
 
 // PhaseStats breaks the server's cumulative forest-maintenance time into
 // phases: initial construction, dynamic batch application, and routing
-// table rebuilds. The split is what the batching work optimizes — fewer,
-// larger batch applies and one rebuild per flush window — so it is
-// exported for the observability pipeline.
+// table maintenance. RouteRebuildMs keeps its name but, after the boot
+// build, times each flush's patch of the touched routing entries and
+// the diff of the sites that hold them. The split is what the batching
+// work optimizes — fewer, larger batch applies and one patch per flush
+// window — so it is exported for the observability pipeline.
 type PhaseStats struct {
 	ConstructMs    float64
 	BatchApplyMs   float64
@@ -418,38 +441,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	st := &siteState{hello: hello, subs: m.Subscribe.Streams, conn: conn}
-	s.mu.Lock()
-	if hello.Epoch > s.epochFloor {
-		s.epochFloor = hello.Epoch
-	}
-	if hello.LastResub > s.lastResub[hello.Site] {
-		s.lastResub[hello.Site] = hello.LastResub
-	}
-	old, dup := s.sites[hello.Site]
-	if dup && !s.computed {
-		s.mu.Unlock()
-		rejectConn(conn, fmt.Sprintf("duplicate registration for site %d", hello.Site))
+	complete, err := s.register(st)
+	if err != nil {
+		rejectConn(conn, err.Error())
 		return
 	}
-	s.sites[hello.Site] = st
-	complete := !s.computed && len(s.sites) == s.cfg.N
-	if dup {
-		// Re-registration on a live shard (the RP lost and re-dialed the
-		// control link): drop the stale connection and resynchronize.
-		old.conn.Close()
-		if hello.Addr != old.hello.Addr && s.meshPeers != nil {
-			// A crash-rejoin from a fresh listen address: patch the cached
-			// mesh (shared by every table this server builds) and queue the
-			// change for distribution — transport.DiffRoutes never
-			// compares the static mesh, so peers only learn the new
-			// address through an explicit delta.
-			s.meshPeers[hello.Site] = hello.Addr
-			s.pendingPeers[hello.Site] = hello.Addr
-		}
-		s.resyncLocked(st)
-	}
-	s.mu.Unlock()
-
 	if complete {
 		if err := s.computeAndDistribute(); err != nil {
 			s.errCh <- err
@@ -475,6 +471,45 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.applyResubscribe(m.Resubscribe)
 	}
+}
+
+// register records a site's registration and reports whether it
+// completes the session's initial assembly. A duplicate registration
+// while the session is assembling is an error; once routes are out it is
+// the site re-registering after a control-plane failure: the stale
+// connection is dropped and the forest resynchronized.
+func (s *Server) register(st *siteState) (complete bool, err error) {
+	hello := st.hello
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if hello.Epoch > s.epochFloor {
+		s.epochFloor = hello.Epoch
+	}
+	if hello.LastResub > s.lastResub[hello.Site] {
+		s.lastResub[hello.Site] = hello.LastResub
+	}
+	old, dup := s.sites[hello.Site]
+	if dup && !s.computed {
+		return false, fmt.Errorf("duplicate registration for site %d", hello.Site)
+	}
+	s.sites[hello.Site] = st
+	if !dup {
+		return !s.computed && len(s.sites) == s.cfg.N, nil
+	}
+	// Re-registration on a live shard (the RP lost and re-dialed the
+	// control link): drop the stale connection and resynchronize.
+	old.conn.Close()
+	if hello.Addr != old.hello.Addr && s.meshPeers != nil {
+		// A crash-rejoin from a fresh listen address: patch the cached
+		// mesh (shared by every table this server builds) and queue the
+		// change for distribution — the flush diff never compares the
+		// static mesh, so peers only learn the new address through an
+		// explicit delta.
+		s.meshPeers[hello.Site] = hello.Addr
+		s.pendingPeers[hello.Site] = hello.Addr
+	}
+	s.resyncLocked(st)
+	return false, nil
 }
 
 // computeAndDistribute builds the forest from the global subscription
@@ -520,43 +555,27 @@ func (s *Server) computeAndDistribute() error {
 	s.epoch = s.epochFloor + 1
 
 	start = time.Now()
-	routes := s.buildRoutes(f)
+	s.cur = s.buildRoutes(f)
 	s.phaseRebuildNs += time.Since(start).Nanoseconds()
 	for i, st := range s.sites {
-		out := routes[i]
-		if st.hello.Epoch > 0 {
-			// A re-registering site (standby takeover) already holds the
-			// static mesh; omitting it keeps the sync O(forest), not O(N)
-			// per site — the difference between a sub-second and a
-			// multi-second recovery at cluster scale.
-			out = stripMesh(out)
-		}
+		// A re-registering site (standby takeover, Epoch > 0) already
+		// holds the static mesh.
+		out := s.fullTableLocked(i, st.hello.Epoch == 0)
 		if err := st.write(&transport.Message{Type: transport.MsgRoutes, Routes: out}); err != nil {
 			return fmt.Errorf("membership: send routes to site %d: %w", i, err)
 		}
-		s.cur[i] = routes[i]
 	}
 	return nil
 }
 
-// stripMesh returns a copy of the table without the static mesh
-// (Peers). RPs never replace their mesh from a resync — it is
-// registration-time state — so full tables sent to re-registering sites
-// omit it.
-func stripMesh(r *transport.Routes) *transport.Routes {
-	c := *r
-	c.Peers = nil
-	return &c
-}
-
 // applyResubscribe accepts one RP's subscription diff: it is queued for
 // the next flush, which applies the whole window to the live forest as
-// one overlay batch (one incremental update, one route rebuild) instead
-// of a rebuild per event. With no flush interval the queue is flushed
-// inline, so the diff still lands as a single-event batch with exactly
-// the legacy per-event behaviour. A request ID at or below the site's
-// high-water mark is a retry racing a failover: it is re-acknowledged at
-// the current epoch without touching the forest.
+// one overlay batch (one incremental update, one patch of the touched
+// routing entries) instead of one per event. With no flush interval the
+// queue is flushed inline, so the diff still lands as a single-event
+// batch with exactly the legacy per-event behaviour. A request ID at or
+// below the site's high-water mark is a retry racing a failover: it is
+// re-acknowledged at the current epoch without touching the forest.
 func (s *Server) applyResubscribe(r *transport.Resubscribe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,7 +601,9 @@ func (s *Server) applyResubscribe(r *transport.Resubscribe) {
 // through one coalesced overlay batch, restricted to the streams this
 // shard owns, and records each diff's acknowledgement from the batch
 // outcomes. Unknown lost requests (trace drift) are no-ops; the forest
-// is authoritative. Callers hold s.mu with a live forest.
+// is authoritative. Every op's routing entries are recorded for the
+// next flush before the batch runs. Callers hold s.mu with a live
+// forest.
 func (s *Server) applyPendingLocked() {
 	if len(s.pendingResubs) == 0 {
 		return
@@ -594,11 +615,13 @@ func (s *Server) applyPendingLocked() {
 		before := s.batch.Len()
 		for _, id := range r.Lost {
 			if s.owns(id) {
+				s.touchLocked(r.Site, id)
 				s.batch.Unsubscribe(overlay.Request{Node: r.Site, Stream: id})
 			}
 		}
 		for _, id := range r.Gained {
 			if s.owns(id) {
+				s.touchLocked(r.Site, id)
 				s.batch.Subscribe(overlay.Request{Node: r.Site, Stream: id})
 			}
 		}
@@ -652,38 +675,44 @@ func (s *Server) reackLocked(site int, id uint64) {
 // reported subscription set (its desired state survived the control-
 // plane failure at the edge), then redistributes: the re-registered
 // site receives a full table — its view of this shard may be
-// arbitrarily stale — and every other affected site a delta. Callers
-// hold s.mu with s.computed true.
+// arbitrarily stale — and every other affected site a delta. Streams
+// are dropped, then admitted, in ascending stream order, so which wanted
+// streams a tight In budget admits is a function of the request alone.
+// Callers hold s.mu with s.computed true.
 func (s *Server) resyncLocked(st *siteState) {
 	// The reconciliation below reads the forest's admission state, so any
 	// queued-but-unapplied diffs must land first.
 	s.applyPendingLocked()
 	site := st.hello.Site
-	have := make(map[stream.ID]bool)
+	var have, want []stream.ID
 	for _, r := range s.forest.Accepted() {
 		if r.Node == site && s.owns(r.Stream) {
-			have[r.Stream] = true
+			have = append(have, r.Stream)
 		}
 	}
 	for _, r := range s.forest.Rejected() {
 		if r.Node == site && s.owns(r.Stream) {
-			have[r.Stream] = true
+			have = append(have, r.Stream)
 		}
 	}
-	want := make(map[stream.ID]bool, len(st.subs))
 	for _, id := range st.subs {
 		if s.owns(id) {
-			want[id] = true
+			want = append(want, id)
 		}
 	}
-	for id := range have {
-		if !want[id] {
+	slices.SortFunc(have, stream.Compare)
+	slices.SortFunc(want, stream.Compare)
+	want = slices.Compact(want)
+	for _, id := range have {
+		if _, ok := slices.BinarySearchFunc(want, id, stream.Compare); !ok {
+			s.touchLocked(site, id)
 			_ = s.forest.Unsubscribe(overlay.Request{Node: site, Stream: id})
 			s.dirty = true
 		}
 	}
-	for id := range want {
-		if !have[id] {
+	for _, id := range want {
+		if _, ok := slices.BinarySearchFunc(have, id, stream.Compare); !ok {
+			s.touchLocked(site, id)
 			_, _ = s.forest.Subscribe(overlay.Request{Node: site, Stream: id})
 			s.dirty = true
 		}
@@ -696,81 +725,214 @@ func (s *Server) resyncLocked(st *siteState) {
 	s.flushLocked(site, st.hello.Epoch == 0)
 }
 
-// flushLocked distributes the batched routing state: one epoch bump,
-// one rebuilt table, and one coalesced delta per affected site carrying
-// the acknowledgements folded into it. fullFor >= 0 forces a full
-// MsgRoutes table (not a delta) to that site — the shard-sync a
-// re-registered site needs — and flushes even when nothing is dirty;
-// withMesh keeps the static mesh in that full table (a crash-rejoined
-// fresh process has none to reuse). Pending mesh address changes are
-// folded into every other site's delta. Callers hold s.mu.
+// siteStream names one routing entry: a site's directives for one
+// stream (its forwarding duty and whether the stream is accepted or
+// rejected there).
+type siteStream struct {
+	site int
+	id   stream.ID
+}
+
+// compareSiteStream orders entries by site, then stream.
+func compareSiteStream(a, b siteStream) int {
+	if a.site != b.site {
+		return cmp.Compare(a.site, b.site)
+	}
+	return stream.Compare(a.id, b.id)
+}
+
+// touchLocked records, before a dynamic op for (site, id) mutates the
+// forest, every routing entry the op can change. Dynamic ops change only
+// the requested stream's tree, so these are the entries for id of the
+// requester, of the source (a brand-new tree's first forward) and of
+// the tree's current members (a withdrawal re-parents or rejects the
+// orphaned subtree). Members are listed once per stream per flush
+// window: anyone who joins later in the window is a requester, listed
+// by its own op. A stream whose source is not a site of the session
+// names no entry: the overlay rejects any op on it and changes nothing.
+// Callers hold s.mu with a live forest.
+func (s *Server) touchLocked(site int, id stream.ID) {
+	if id.Site < 0 || id.Site >= s.cfg.N {
+		return
+	}
+	s.touched = append(s.touched, siteStream{site, id})
+	if _, seen := s.touchedTrees[id]; seen {
+		return
+	}
+	s.touchedTrees[id] = struct{}{}
+	s.touched = append(s.touched, siteStream{id.Site, id})
+	if t := s.forest.Tree(id); t != nil {
+		t.ForEachNode(func(m int) { s.touched = append(s.touched, siteStream{m, id}) })
+	}
+}
+
+// flushLocked distributes the batched routing state: one epoch bump, one
+// patch of the touched routing entries, and one coalesced delta per
+// affected site carrying the acknowledgements folded into it. fullFor
+// >= 0 forces a full MsgRoutes table (not a delta) to that site — the
+// shard-sync a re-registered site needs — and flushes even when nothing
+// is dirty; withMesh keeps the static mesh in that full table (a
+// crash-rejoined fresh process has none to reuse). Pending mesh address
+// changes are folded into a delta to every other site. Callers hold s.mu.
 func (s *Server) flushLocked(fullFor int, withMesh bool) {
 	if !s.dirty && fullFor < 0 {
 		return
 	}
-	// One batch apply and one route rebuild cover the whole window.
+	// One batch apply and one patch cover the whole window.
 	s.applyPendingLocked()
 	s.epoch++
-	start := time.Now()
-	next := s.buildRoutes(s.forest)
-	s.phaseRebuildNs += time.Since(start).Nanoseconds()
 	var peerPatch map[int]string
 	if len(s.pendingPeers) > 0 {
-		peerPatch = make(map[int]string, len(s.pendingPeers))
-		for site, addr := range s.pendingPeers {
-			peerPatch[site] = addr
-		}
+		peerPatch = s.pendingPeers
 		s.pendingPeers = make(map[int]string)
 	}
+	start := time.Now()
+	sites := s.flushSitesLocked(fullFor, peerPatch != nil)
+	for len(s.updates) < len(sites) {
+		s.updates = append(s.updates, transport.RoutesUpdate{})
+	}
+	// sites and touched both ascend by site, and every touched site is
+	// visited, so one cursor hands each site its own entries.
+	e := 0
+	for k, i := range sites {
+		lo := e
+		for e < len(s.touched) && s.touched[e].site == i {
+			e++
+		}
+		s.patchLocked(i, s.touched[lo:e], &s.updates[k])
+	}
+	s.touched = s.touched[:0]
+	clear(s.touchedTrees)
+	s.phaseRebuildNs += time.Since(start).Nanoseconds()
+
 	// Deltas are cumulative per site, so they must hit each connection in
 	// epoch order: pushing under the lock serializes concurrent flushes
 	// end to end. Control messages are small and the RPs' control loops
 	// always read promptly, so the writes cannot stall the session (the
 	// centralized-coordinator simplicity the paper argues for).
-	for i := 0; i < s.cfg.N; i++ {
+	for k, i := range sites {
+		st := s.sites[i]
 		if i == fullFor {
-			s.cur[i] = next[i]
 			delete(s.pendingAcks, i)
-			if st := s.sites[i]; st != nil {
-				out := next[i]
-				if !withMesh {
-					// The resynced site re-registered with its old mesh
-					// intact (standby takeover), so omit it (see stripMesh).
-					out = stripMesh(out)
-				}
-				_ = st.write(&transport.Message{Type: transport.MsgRoutes, Routes: out})
+			if st != nil {
+				_ = st.write(&transport.Message{Type: transport.MsgRoutes, Routes: s.fullTableLocked(i, withMesh)})
 			}
 			continue
 		}
-		u := transport.DiffRoutes(s.cur[i], next[i])
+		u := &s.updates[k]
 		acks := s.pendingAcks[i]
-		if u == nil && len(acks) == 0 && peerPatch == nil {
+		if u.Empty() && len(acks) == 0 && peerPatch == nil {
 			continue
 		}
-		if u == nil {
-			// A requester always gets an acknowledgement, even when its
-			// own table is unchanged (e.g. every gain was rejected), and a
-			// mesh patch reaches every site regardless of forest changes.
-			u = &transport.RoutesUpdate{Site: i}
-		}
+		// A requester always gets an acknowledgement, even when its own
+		// table is unchanged (e.g. every gain was rejected), and a mesh
+		// patch reaches every site regardless of forest changes.
 		u.Epoch = s.epoch
 		u.Shard = s.cfg.Shard
 		u.Acks = acks
 		u.Peers = peerPatch
 		delete(s.pendingAcks, i)
-		s.cur[i] = next[i]
-		if st := s.sites[i]; st != nil {
+		if st != nil {
 			// A site whose connection died mid-session just misses
 			// updates; its handler unwinds independently.
 			_ = st.write(&transport.Message{Type: transport.MsgRoutesUpdate, Update: u})
 		}
+		u.Acks, u.Peers = nil, nil
 	}
 	s.dirty = false
 }
 
+// flushSitesLocked sorts and deduplicates the touched entries and
+// returns the sites a flush visits, ascending: every site with a touched
+// entry, a pending acknowledgement or a forced full table — or every
+// site, when a mesh patch must reach them all. Callers hold s.mu.
+func (s *Server) flushSitesLocked(fullFor int, all bool) []int {
+	slices.SortFunc(s.touched, compareSiteStream)
+	s.touched = slices.Compact(s.touched)
+	sites := s.flushSites[:0]
+	if all {
+		for i := 0; i < s.cfg.N; i++ {
+			sites = append(sites, i)
+		}
+	} else {
+		for _, e := range s.touched {
+			if n := len(sites); n == 0 || sites[n-1] != e.site {
+				sites = append(sites, e.site)
+			}
+		}
+		for i := range s.pendingAcks {
+			sites = append(sites, i)
+		}
+		if fullFor >= 0 {
+			sites = append(sites, fullFor)
+		}
+		slices.Sort(sites)
+		sites = slices.Compact(sites)
+	}
+	s.flushSites = sites
+	return sites
+}
+
+// patchLocked brings cur[i]'s entries for the touched streams in
+// entries (ascending, deduplicated) up to date from the live forest
+// through transport.PatchRoute, so u ends up exactly the
+// transport.DiffRoutes of the old and new tables. u's lists are reused
+// scratch. Callers hold s.mu.
+func (s *Server) patchLocked(i int, entries []siteStream, u *transport.RoutesUpdate) {
+	r := s.cur[i]
+	u.Site = i
+	u.SetForward = u.SetForward[:0]
+	u.AddAccepted, u.DelAccepted = u.AddAccepted[:0], u.DelAccepted[:0]
+	u.AddRejected, u.DelRejected = u.AddRejected[:0], u.DelRejected[:0]
+	for _, e := range entries {
+		t := s.forest.Tree(e.id)
+		member := t != nil && t.Contains(i)
+		ch := s.children[:0]
+		if member {
+			for _, c := range t.ChildrenRef(i) {
+				ch = append(ch, int(c))
+			}
+			slices.Sort(ch)
+		}
+		s.children = ch
+		// Dynamic ops keep "accepted" and "a non-source tree member" the
+		// same set.
+		rejected := s.forest.IsRejected(overlay.Request{Node: i, Stream: e.id})
+		transport.PatchRoute(r, u, e.id, ch, member && i != e.id.Site, rejected)
+	}
+}
+
+// fullTableLocked returns a copy of site i's whole table at the current
+// epoch, for boot and for a resync: cur[i] with empty lists as nil, so
+// it encodes exactly like a freshly built table. Without withMesh it
+// omits the static mesh (Peers): RPs never replace their mesh from a
+// resync — it is registration-time state — and omitting it keeps a
+// re-registering site's sync O(forest), not O(N), the difference
+// between a sub-second and a multi-second recovery at cluster scale.
+// Callers hold s.mu.
+func (s *Server) fullTableLocked(i int, withMesh bool) *transport.Routes {
+	r := *s.cur[i]
+	r.Epoch = s.epoch
+	if !withMesh {
+		r.Peers = nil
+	}
+	if len(r.Forward) == 0 {
+		r.Forward = nil
+	}
+	if len(r.Accepted) == 0 {
+		r.Accepted = nil
+	}
+	if len(r.Rejected) == 0 {
+		r.Rejected = nil
+	}
+	return &r
+}
+
 // buildRoutes converts the forest into per-site routing directives at
 // the current epoch, restricted to the trees this shard owns. Slices
-// are sorted so tables compare structurally.
+// are sorted so tables compare structurally. Only the boot distribution
+// builds tables; every flush patches them, and tests hold the patched
+// tables to this full build.
 func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 	if s.meshPeers == nil {
 		s.meshPeers = make(map[int]string, s.cfg.N)

@@ -502,6 +502,15 @@ func (f *Forest) Accepted() []Request { return orderBySeq(f.accepted, f.accSeq) 
 // Rejected returns the rejected requests in processing order.
 func (f *Forest) Rejected() []Request { return orderBySeq(f.rejected, f.rejSeq) }
 
+// IsRejected reports whether request r is in the rejected set: the
+// forest could not satisfy it. An O(1) lookup, for readers that patch
+// per-request state instead of scanning Rejected.
+func (f *Forest) IsRejected(r Request) bool {
+	f.ensurePos()
+	_, ok := f.rejPos[r]
+	return ok
+}
+
 // orderBySeq copies reqs sorted by their per-entry sequence numbers —
 // reconstructing processing order from the swap-removable backing store.
 func orderBySeq(reqs []Request, seqs []uint64) []Request {

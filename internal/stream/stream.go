@@ -11,6 +11,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -33,6 +34,15 @@ func (id ID) Less(other ID) bool {
 		return id.Site < other.Site
 	}
 	return id.Index < other.Index
+}
+
+// Compare is Less as a three-way comparison, for the slices package's
+// sorted-slice functions.
+func Compare(a, b ID) int {
+	if c := cmp.Compare(a.Site, b.Site); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // SortIDs sorts ids in place by Less.

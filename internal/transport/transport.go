@@ -198,10 +198,59 @@ func DiffRoutes(old, new *Routes) *RoutesUpdate {
 	sort.Slice(u.SetForward, func(a, b int) bool { return u.SetForward[a].Stream.Less(u.SetForward[b].Stream) })
 	u.AddAccepted, u.DelAccepted = diffIDs(old.Accepted, new.Accepted)
 	u.AddRejected, u.DelRejected = diffIDs(old.Rejected, new.Rejected)
-	if len(u.SetForward)+len(u.AddAccepted)+len(u.DelAccepted)+len(u.AddRejected)+len(u.DelRejected) == 0 {
+	if u.Empty() {
 		return nil
 	}
 	return u
+}
+
+// Empty reports whether the delta changes no forwarding duty and no
+// admission outcome (Acks and Peers are not table changes).
+func (u *RoutesUpdate) Empty() bool {
+	return len(u.SetForward)+len(u.AddAccepted)+len(u.DelAccepted)+len(u.AddRejected)+len(u.DelRejected) == 0
+}
+
+// PatchRoute sets table r's entry for stream id in place — its
+// forwarding duty (children, sorted; none clears it) and whether id is
+// accepted and rejected there — and appends the change, if any, to u in
+// DiffRoutes' terms. r's Forward, Accepted and Rejected must be sorted
+// and stay so. Patching a table's changed streams in ascending order into
+// an empty u yields exactly DiffRoutes of the tables before and after.
+// children is copied, never retained.
+func PatchRoute(r *Routes, u *RoutesUpdate, id stream.ID, children []int, accepted, rejected bool) {
+	k, had := slices.BinarySearchFunc(r.Forward, id, func(e Route, id stream.ID) int { return stream.Compare(e.Stream, id) })
+	var old []int
+	if had {
+		old = r.Forward[k].Children
+	}
+	if !slices.Equal(old, children) {
+		switch {
+		case len(children) == 0:
+			r.Forward = slices.Delete(r.Forward, k, k+1)
+			u.SetForward = append(u.SetForward, Route{Stream: id})
+		case had:
+			r.Forward[k].Children = append(old[:0], children...)
+			u.SetForward = append(u.SetForward, r.Forward[k])
+		default:
+			r.Forward = slices.Insert(r.Forward, k, Route{Stream: id, Children: slices.Clone(children)})
+			u.SetForward = append(u.SetForward, r.Forward[k])
+		}
+	}
+	r.Accepted, u.AddAccepted, u.DelAccepted = patchID(r.Accepted, id, accepted, u.AddAccepted, u.DelAccepted)
+	r.Rejected, u.AddRejected, u.DelRejected = patchID(r.Rejected, id, rejected, u.AddRejected, u.DelRejected)
+}
+
+// patchID makes id's presence in the sorted list match want, appending
+// an insertion to add or a removal to del.
+func patchID(list []stream.ID, id stream.ID, want bool, add, del []stream.ID) ([]stream.ID, []stream.ID, []stream.ID) {
+	k, has := slices.BinarySearchFunc(list, id, stream.Compare)
+	switch {
+	case want && !has:
+		return slices.Insert(list, k, id), append(add, id), del
+	case !want && has:
+		return slices.Delete(list, k, k+1), add, append(del, id)
+	}
+	return list, add, del
 }
 
 // diffIDs returns new-minus-old (added) and old-minus-new (removed),

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tele3d/tele3d/internal/stream"
@@ -159,6 +161,80 @@ func TestDiffRoutes(t *testing.T) {
 	}
 	if got := DiffRoutes(old, next); !reflect.DeepEqual(got, want) {
 		t.Errorf("DiffRoutes =\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestPatchRouteMatchesDiffRoutes: patching every stream of one random
+// table toward another, in ascending stream order, turns the first into
+// the second and yields exactly DiffRoutes of the two.
+func TestPatchRouteMatchesDiffRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ids []stream.ID
+	for site := 0; site < 4; site++ {
+		for q := 0; q < 3; q++ {
+			ids = append(ids, stream.ID{Site: site, Index: q})
+		}
+	}
+	children := func() []int {
+		var ch []int
+		for c := 0; c < 5; c++ {
+			if rng.Intn(3) == 0 {
+				ch = append(ch, c)
+			}
+		}
+		return ch
+	}
+	table := func() *Routes {
+		r := &Routes{Site: 2}
+		for _, id := range ids {
+			if ch := children(); len(ch) > 0 && rng.Intn(2) == 0 {
+				r.Forward = append(r.Forward, Route{Stream: id, Children: ch})
+			}
+			switch rng.Intn(3) {
+			case 0:
+				r.Accepted = append(r.Accepted, id)
+			case 1:
+				r.Rejected = append(r.Rejected, id)
+			}
+		}
+		return r
+	}
+	entry := func(r *Routes, id stream.ID) (ch []int, accepted, rejected bool) {
+		for _, e := range r.Forward {
+			if e.Stream == id {
+				ch = e.Children
+			}
+		}
+		return ch, slices.Contains(r.Accepted, id), slices.Contains(r.Rejected, id)
+	}
+	for trial := 0; trial < 500; trial++ {
+		old, next := table(), table()
+		if trial%5 == 0 {
+			next = old // no change: an empty delta
+		}
+		want := DiffRoutes(old, next)
+		if want == nil {
+			want = &RoutesUpdate{Site: 2}
+		}
+		patched := &Routes{Site: 2, Accepted: slices.Clone(old.Accepted), Rejected: slices.Clone(old.Rejected)}
+		for _, e := range old.Forward {
+			patched.Forward = append(patched.Forward, Route{Stream: e.Stream, Children: slices.Clone(e.Children)})
+		}
+		got := &RoutesUpdate{Site: 2}
+		for _, id := range ids {
+			ch, acc, rej := entry(next, id)
+			PatchRoute(patched, got, id, ch, acc, rej)
+		}
+		if got.Empty() != (DiffRoutes(old, next) == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: patch delta\n%+v\nwant DiffRoutes\n%+v", trial, got, want)
+		}
+		if u := DiffRoutes(patched, next); u != nil {
+			t.Fatalf("trial %d: patched table differs from the target by %+v", trial, u)
+		}
+		if !slices.IsSortedFunc(patched.Forward, func(a, b Route) int { return stream.Compare(a.Stream, b.Stream) }) ||
+			!slices.IsSortedFunc(patched.Accepted, stream.Compare) || !slices.IsSortedFunc(patched.Rejected, stream.Compare) {
+			t.Fatalf("trial %d: patched table lists out of order: %+v", trial, patched)
+		}
 	}
 }
 
