@@ -206,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardSync$$' -fuzztime 20s ./internal/rp
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalRoutes$$' -fuzztime 20s ./internal/membership
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 20s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzVirtualPipe$$' -fuzztime 20s ./internal/transport
 
 # cover prints per-package statement coverage for the internal tree; CI
 # publishes this into the workflow summary.

@@ -7,11 +7,12 @@
 // are small to medium sized, so a single coordination point is simpler
 // than a distributed control plane. At cluster scale the plane shards:
 // several Server instances run side by side, each owning the disjoint
-// slice of the stream space given by transport.StreamShard. Every shard
-// receives the full registration workload and constructs the identical
-// forest (same seed, same algorithm), but applies mid-session diffs and
-// pushes route deltas only for the trees it owns, so the union of the
-// per-shard directives an RP holds is exactly the single-server table.
+// slice of the stream space given by transport.TenantStreamShard.
+// Every shard receives the full registration workload and constructs
+// the identical forest (same seed, same algorithm), but applies
+// mid-session diffs and pushes route deltas only for the trees it
+// owns, so the union of the per-shard directives an RP holds is exactly
+// the single-server table.
 //
 // Each server is a long-lived control loop: registration connections
 // stay open for the whole session, and each RP may send MsgResubscribe
@@ -79,7 +80,7 @@ type Config struct {
 	Shards int
 	// Shard is this server's shard index in [0, Shards). The server
 	// applies diffs and pushes deltas only for streams s with
-	// transport.StreamShard(s, Shards) == Shard.
+	// transport.TenantStreamShard(Tenant, s, Shards) == Shard.
 	Shard int
 	// FlushIntervalMs batches route distribution: received diffs are
 	// queued and each flush applies the whole window as one overlay batch

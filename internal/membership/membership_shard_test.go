@@ -222,12 +222,12 @@ func TestShardedUnionMatchesSingleServer(t *testing.T) {
 	// Sanity: every stream's directives came from exactly one shard.
 	for i := 0; i < base.N; i++ {
 		for _, r := range t0[i].Forward {
-			if transport.StreamShard(r.Stream, 2) != 0 {
+			if transport.TenantStreamShard(0, r.Stream, 2) != 0 {
 				t.Errorf("shard 0 pushed directive for foreign stream %v", r.Stream)
 			}
 		}
 		for _, r := range t1[i].Forward {
-			if transport.StreamShard(r.Stream, 2) != 1 {
+			if transport.TenantStreamShard(0, r.Stream, 2) != 1 {
 				t.Errorf("shard 1 pushed directive for foreign stream %v", r.Stream)
 			}
 		}

@@ -95,7 +95,7 @@ type ClusterConfig struct {
 	// of every site-to-site virtual link.
 	Link transport.LinkProfile
 	// Shards partitions each tenant's membership control plane into
-	// this many servers (see transport.StreamShard); 0 or 1 runs a
+	// this many servers (see transport.TenantStreamShard); 0 or 1 runs a
 	// single server.
 	Shards int
 	// FlushIntervalMs batches each membership server's route

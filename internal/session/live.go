@@ -70,7 +70,7 @@ type LiveConfig struct {
 	// 0 means 8192.
 	DeliveryBuffer int
 	// Shards is the number of membership servers the control plane is
-	// partitioned into (transport.StreamShard ownership); 0 or 1 boots
+	// partitioned into (transport.TenantStreamShard ownership); 0 or 1 boots
 	// the legacy single server.
 	Shards int
 	// FlushIntervalMs batches each membership server's route

@@ -62,26 +62,16 @@ func ShardServerHost(k int) string {
 	return fmt.Sprintf("%s-%d", ServerHost, k)
 }
 
-// StreamShard maps a stream to the membership shard that owns its
-// dissemination tree: streams are partitioned by originating site, so
-// one region's sources live together and a resubscription diff touches
-// at most as many shards as distinct source regions it watches. Every
-// layer (membership servers, RPs, session drivers) must use this one
-// function so ownership never disagrees across the plane.
-func StreamShard(id stream.ID, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return id.Site % shards
-}
-
-// TenantStreamShard extends StreamShard with a tenant component: each
-// tenant's streams are rotated across the shard ring by its tenant
-// index, so directives for different tenants stay disjoint per shard
-// server while tenant 0 keeps the exact legacy StreamShard mapping (a
-// single-tenant plane is bit-identical to the pre-tenancy one). As with
-// StreamShard, every layer must use this one function so ownership
-// never disagrees across the plane.
+// TenantStreamShard maps tenant's stream to the membership shard that
+// owns its dissemination tree. Streams are partitioned by originating
+// site, so one region's sources live together and a resubscription
+// diff touches at most as many shards as distinct source regions it
+// watches; each tenant's streams are rotated across the shard ring by
+// its tenant index, so directives for different tenants stay disjoint
+// per shard server. Tenant 0 maps site s to s mod shards, and any site
+// maps into [0, shards). Every layer (membership servers, RPs, session
+// drivers) must use this one function so ownership never disagrees
+// across the plane.
 func TenantStreamShard(tenant int, id stream.ID, shards int) int {
 	if shards <= 1 {
 		return 0

@@ -105,30 +105,30 @@ func TestShardHelpers(t *testing.T) {
 
 	id := stream.ID{Site: 7, Index: 2}
 	for _, shards := range []int{0, 1} {
-		if got := StreamShard(id, shards); got != 0 {
-			t.Errorf("StreamShard(%v, %d) = %d, want 0 (unsharded plane)", id, shards, got)
+		if got := TenantStreamShard(0, id, shards); got != 0 {
+			t.Errorf("TenantStreamShard(0, %v, %d) = %d, want 0 (unsharded plane)", id, shards, got)
 		}
 	}
-	if got := StreamShard(id, 3); got != 1 {
-		t.Errorf("StreamShard(%v, 3) = %d, want 1", id, got)
+	if got := TenantStreamShard(0, id, 3); got != 1 {
+		t.Errorf("TenantStreamShard(0, %v, 3) = %d, want 1", id, got)
 	}
 	// Ownership depends only on the originating site, never the stream
 	// index: a site's whole rig lives on one shard.
 	for idx := 0; idx < 4; idx++ {
-		if got := StreamShard(stream.ID{Site: 7, Index: idx}, 3); got != 1 {
-			t.Errorf("StreamShard(site 7, index %d) = %d, want 1", idx, got)
+		if got := TenantStreamShard(0, stream.ID{Site: 7, Index: idx}, 3); got != 1 {
+			t.Errorf("TenantStreamShard(0, site 7, index %d) = %d, want 1", idx, got)
 		}
 	}
-	// Every shard index is in range for any site.
-	for site := 0; site < 20; site++ {
-		if got := StreamShard(stream.ID{Site: site}, 4); got < 0 || got >= 4 {
-			t.Errorf("StreamShard(site %d, 4) = %d out of range", site, got)
+	// Every shard index is in range for any site, a negative one too.
+	for site := -5; site < 20; site++ {
+		if got := TenantStreamShard(0, stream.ID{Site: site}, 4); got < 0 || got >= 4 {
+			t.Errorf("TenantStreamShard(0, site %d, 4) = %d out of range", site, got)
 		}
 	}
 }
 
 // TestTenantHelpers pins the tenant naming and ownership conventions:
-// tenant 0 keeps every legacy name and the legacy StreamShard mapping
+// tenant 0 keeps every legacy name and the legacy site-mod-shards mapping
 // (the single-tenant regression pin), while higher tenants get
 // namespaced hosts and a rotated — but still disjoint — shard mapping.
 func TestTenantHelpers(t *testing.T) {
@@ -169,7 +169,7 @@ func TestTenantHelpers(t *testing.T) {
 
 	id := stream.ID{Site: 7, Index: 2}
 	for shards := 1; shards <= 5; shards++ {
-		if got, want := TenantStreamShard(0, id, shards), StreamShard(id, shards); got != want {
+		if got, want := TenantStreamShard(0, id, shards), id.Site%shards; got != want {
 			t.Errorf("TenantStreamShard(0, %v, %d) = %d, want legacy %d", id, shards, got, want)
 		}
 	}

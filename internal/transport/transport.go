@@ -144,8 +144,8 @@ type ProtocolError struct {
 
 // Routes is a membership server's routing directive for one RP. In a
 // sharded control plane each shard server sends the directive for the
-// trees it owns (streams s with StreamShard(s, Shards) == Shard); the
-// RP's effective table is the disjoint union across shards.
+// trees it owns (streams s with TenantStreamShard(tenant, s, Shards) ==
+// Shard); the RP's effective table is the disjoint union across shards.
 type Routes struct {
 	Site int `json:"site"`
 	// Epoch versions the table; RoutesUpdate deltas carry the epochs

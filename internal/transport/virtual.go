@@ -513,6 +513,10 @@ type halfPipe struct {
 	lastDue    time.Time
 	closed     bool
 	deadline   time.Time // read deadline; zero means none
+	// timer wakes timed waits: created on the first one, re-armed with
+	// Reset after that. armed is when it fires; zero means not armed.
+	timer *time.Timer
+	armed time.Time
 }
 
 func newHalfPipe(v *VirtualNetwork, from, to string, seed int64) *halfPipe {
@@ -596,8 +600,14 @@ func (p *halfPipe) enqueue(b []byte) (int, error) {
 		clear(p.segs[n:])
 		p.segs, p.head = p.segs[:n], 0
 	}
+	// Only an empty queue can have readers parked for data (a chunk
+	// behind the head is due no earlier than the head, so it changes
+	// nothing a waiting reader waits for). Broadcast, not Signal: with
+	// concurrent Reads, each must see the new head.
+	if p.queued() == 0 {
+		p.cond.Broadcast()
+	}
 	p.segs = append(p.segs, segment{due: due, data: b})
-	p.cond.Signal()
 	return len(b), nil
 }
 
@@ -615,8 +625,8 @@ func (p *halfPipe) read(b []byte) (int, error) {
 		}
 		if p.queued() > 0 && !p.net.linkDown(p.from, p.to) {
 			seg := &p.segs[p.head]
-			if wait := time.Until(seg.due); wait > 0 {
-				p.timedWait(wait)
+			if time.Until(seg.due) > 0 {
+				p.timedWait(seg.due)
 				continue
 			}
 			n := copy(b, seg.data[p.rdPos:])
@@ -639,29 +649,42 @@ func (p *halfPipe) read(b []byte) (int, error) {
 			return 0, io.EOF
 		}
 		if dl := p.deadline; !dl.IsZero() {
-			p.timedWait(time.Until(dl))
+			p.timedWait(dl)
 			continue
 		}
 		p.cond.Wait()
 	}
 }
 
-// timedWait blocks on the cond for at most d (mu held). A helper timer
-// broadcasts so Close and SetLink wakeups still interleave correctly.
-func (p *halfPipe) timedWait(d time.Duration) {
-	if d <= 0 {
-		d = time.Microsecond
+// timedWait blocks on the cond until about time at at the latest (mu
+// held). The pipe's one timer is re-armed only when this wait must end
+// before the armed time; an earlier wake-up just loops the reader, which
+// then waits again. Close, SetLink and deadline changes broadcast on the
+// same cond.
+func (p *halfPipe) timedWait(at time.Time) {
+	if p.armed.IsZero() || at.Before(p.armed) {
+		p.armed = at
+		d := max(time.Until(at), time.Microsecond)
+		if p.timer == nil {
+			p.timer = time.AfterFunc(d, p.wake)
+		} else {
+			p.timer.Reset(d)
+		}
 	}
-	t := time.AfterFunc(d, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
 	p.cond.Wait()
-	t.Stop()
 }
 
-// close marks the direction closed and wakes readers.
+// wake is the timer callback: it disarms the timer and wakes every
+// waiter, so each re-checks its head chunk or deadline and re-arms.
+func (p *halfPipe) wake() {
+	p.mu.Lock()
+	p.armed = time.Time{}
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// close marks the direction closed and wakes readers. It leaves the
+// timer armed: readers drain the queued chunks, each at its due time.
 func (p *halfPipe) close() {
 	p.mu.Lock()
 	p.closed = true

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tele3d/tele3d/internal/stream"
 )
 
 // pair dials host b's listener from host a and returns both conn ends.
@@ -276,6 +279,221 @@ func TestVirtualCloseSemantics(t *testing.T) {
 	if _, err := acceptor.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("write to closed peer: %v", err)
 	}
+}
+
+// TestVirtualCloseDrainsDelayedLink checks a writer that closes while
+// its chunks are still in flight on a slow link: the reader gets every
+// byte in order, each chunk at its due time, and then EOF. The close
+// lands while the reader is parked on the head chunk's due time, so a
+// close that disarmed the pipe's timer would strand it there.
+func TestVirtualCloseDrainsDelayedLink(t *testing.T) {
+	const lat = 25 * time.Millisecond
+	v := NewVirtualNetwork(VirtualConfig{
+		Seed:  13,
+		Links: func(_, _ string) LinkProfile { return LinkProfile{LatencyMs: 25} },
+	})
+	dialer, acceptor := pair(t, v, "site-0", "site-1")
+	p := dialer.(*virtualConn).wr
+
+	type result struct {
+		got []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var got []byte
+		buf := make([]byte, 4)
+		for {
+			n, err := acceptor.Read(buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				done <- result{got, err}
+				return
+			}
+		}
+	}()
+	start := time.Now()
+	for _, chunk := range []string{"one", "two", "three"} {
+		if _, err := dialer.Write([]byte(chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close once the reader waits on the head chunk's due time.
+	for parked := false; !parked; {
+		p.mu.Lock()
+		parked = !p.armed.IsZero()
+		p.mu.Unlock()
+		if !parked {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	dialer.Close()
+
+	select {
+	case r := <-done:
+		if string(r.got) != "onetwothree" || r.err != io.EOF {
+			t.Fatalf("drained %q then %v, want %q then EOF", r.got, r.err, "onetwothree")
+		}
+		if elapsed := time.Since(start); elapsed < lat*9/10 {
+			t.Fatalf("drained after %v, before the link's %v latency", elapsed, lat)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("reader still parked 5s after the writer closed a %v link", lat)
+	}
+}
+
+// TestVirtualDelayedReadAllocs pins the cost of waiting on a delayed
+// link: once the pipe is warm, a sealed write plus the read that waits
+// for its due time allocates nothing (the pipe re-arms one timer).
+func TestVirtualDelayedReadAllocs(t *testing.T) {
+	v := NewVirtualNetwork(VirtualConfig{
+		Seed:  14,
+		Links: func(_, _ string) LinkProfile { return LinkProfile{LatencyMs: 1} },
+	})
+	dialer, acceptor := pair(t, v, "site-0", "site-1")
+	msg, err := SealFrame(&stream.Frame{Stream: stream.ID{Site: 0, Index: 1}, Seq: 1, Payload: make([]byte, 512)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(msg))
+	step := func() {
+		if err := WriteSealed(dialer, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(acceptor, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	const runs = 50
+	start := time.Now()
+	allocs := testing.AllocsPerRun(runs, step)
+	if elapsed := time.Since(start); elapsed < runs*time.Millisecond {
+		t.Fatalf("%d reads took %v: they did not wait for the 1ms link", runs, elapsed)
+	}
+	if raceEnabled {
+		t.Logf("race detector on: %.1f allocs per delayed read not compared", allocs)
+		return
+	}
+	if allocs != 0 {
+		t.Errorf("a delayed write+read allocates %.1f times, want 0", allocs)
+	}
+}
+
+// FuzzVirtualPipe runs a script of writes, reads and link impairments
+// against one connection and checks the stream contract: the reader
+// gets every byte in write order, then EOF once the writer closes.
+// Each op is two bytes (kind, argument), at most 64 ops per input:
+// Write or WriteSealed of 1-4 KB, a read buffer size, SetLink down or
+// up, SetLinkProfile with at most 2 ms latency and jitter, or a short
+// pause that lets the reader park. After the script the link is healed
+// if it is down, and every byte must arrive before the writer closes:
+// a heal or a close wakes the reader, so either would hide a lost
+// wakeup, which instead leaves the reader parked past the deadline.
+func FuzzVirtualPipe(f *testing.F) {
+	f.Add([]byte{0, 10, 2, 3, 1, 200, 7, 3, 2, 90})
+	f.Add([]byte{5, 255, 0, 0, 7, 3, 1, 255, 2, 255, 7, 3, 0, 40, 2, 0})
+	f.Add([]byte{3, 0, 0, 100, 1, 100, 7, 2, 4, 0, 5, 30, 0, 1, 6, 0, 2, 5})
+	f.Add([]byte{5, 7, 7, 1, 0, 1, 7, 1, 1, 2, 7, 1, 0, 3, 3, 0, 0, 4, 4, 0})
+	f.Add([]byte{0, 0, 7, 4, 1, 0, 7, 4, 0, 255})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 128 {
+			script = script[:128]
+		}
+		v := NewVirtualNetwork(VirtualConfig{Seed: 15})
+		dialer, acceptor := pair(t, v, "site-0", "site-1")
+
+		sizes := []int{4096}
+		for i := 0; i+1 < len(script); i += 2 {
+			if script[i]%8 == 2 {
+				sizes = append(sizes, 1+int(script[i+1])*32)
+			}
+		}
+		var mu sync.Mutex
+		var got []byte
+		readErr := make(chan error, 1)
+		go func() {
+			buf := make([]byte, 1+255*32)
+			for i := 0; ; i++ {
+				n, err := acceptor.Read(buf[:sizes[i%len(sizes)]])
+				mu.Lock()
+				got = append(got, buf[:n]...)
+				mu.Unlock()
+				if err != nil {
+					readErr <- err
+					return
+				}
+			}
+		}()
+
+		var sent []byte
+		down := false
+		for i := 0; i+1 < len(script); i += 2 {
+			arg := int(script[i+1])
+			switch script[i] % 8 {
+			case 0, 1:
+				b := make([]byte, 1024+arg*12)
+				for j := range b {
+					b[j] = byte(len(sent) + j)
+				}
+				sent = append(sent, b...)
+				var err error
+				if script[i]%8 == 0 {
+					_, err = dialer.Write(b)
+				} else {
+					err = WriteSealed(dialer, b)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			case 3, 4:
+				down = script[i]%8 == 3
+				v.SetLink("site-0", "site-1", !down)
+			case 5:
+				v.SetLinkProfile("site-0", "site-1", LinkProfile{
+					LatencyMs: float64(arg%21) / 10,
+					JitterMs:  float64(arg/21%21) / 10,
+				})
+			case 6:
+				v.ClearLinkProfile("site-0", "site-1")
+			case 7:
+				time.Sleep(time.Duration(arg%5) * 500 * time.Microsecond)
+			}
+		}
+		if down {
+			v.SetLink("site-0", "site-1", true)
+		}
+
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			n := len(got)
+			mu.Unlock()
+			if n >= len(sent) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("reader parked with %d of %d bytes delivered", n, len(sent))
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		dialer.Close()
+		select {
+		case err := <-readErr:
+			if err != io.EOF {
+				t.Fatalf("read ended with %v, want EOF", err)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Fatal("reader still parked after the writer closed")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !bytes.Equal(got, sent) {
+			t.Fatalf("received %d bytes that differ from the %d sent", len(got), len(sent))
+		}
+	})
 }
 
 // TestVirtualReadDeadline checks SetReadDeadline unblocks a parked read.
