@@ -111,13 +111,18 @@ sweep-smoke:
 # cluster-smoke boots a 50-node virtual cluster under the race detector
 # and runs the flash-crowd scenario end to end — the full membership+RP
 # stack over the in-memory fabric, with records emitted to prove the
-# sink path. Small enough for CI, racy enough to matter.
+# sink path — then the same runner on loopback TCP at 4 sites (steady
+# churn), which must emit exactly one record too. Small enough for CI,
+# racy enough to matter.
 cluster-smoke:
 	$(GO) run -race ./cmd/ticluster -virtual -nodes 50 -scenario flash-crowd \
 		-cameras 2 -displays 1 -duration 1500ms -churnrate 4 -seed 7 \
 		-csv /tmp/ticluster-smoke.csv -jsonl /tmp/ticluster-smoke.jsonl
 	@test "$$(wc -l < /tmp/ticluster-smoke.csv)" -eq 2 || { echo "bad cluster CSV row count"; exit 1; }
 	@test "$$(wc -l < /tmp/ticluster-smoke.jsonl)" -eq 1 || { echo "bad cluster JSONL record count"; exit 1; }
+	$(GO) run -race ./cmd/ticluster -nodes 4 -cameras 2 -displays 1 -duration 1500ms \
+		-churnrate 4 -seed 7 -jsonl /tmp/ticluster-smoke-tcp.jsonl
+	@test "$$(wc -l < /tmp/ticluster-smoke-tcp.jsonl)" -eq 1 || { echo "bad loopback-TCP JSONL record count"; exit 1; }
 	@echo "cluster-smoke OK"
 
 # tenant-smoke is the multi-tenant SLO drill: a 100-node fabric serves

@@ -27,7 +27,7 @@ func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:7000", "address to listen on")
 		cities = flag.String("cities", "Chicago,Berkeley,New York", "comma-separated site cities (from the built-in PoP map)")
-		algo   = flag.String("algo", "RJ", "overlay algorithm: RJ, CO-RJ, LTF, STF, MCTF")
+		algo   = flag.String("algo", "RJ", "overlay algorithm: RJ, CO-RJ, LTF, STF, MCTF, AllToAll or gran-ltf:<g>")
 		bmult  = flag.Float64("bmult", 3.0, "latency bound as a multiple of the median pairwise cost")
 		seed   = flag.Int64("seed", 1, "construction seed")
 		shards = flag.Int("shards", 1, "membership control-plane shard count")
@@ -67,20 +67,9 @@ func main() {
 		median = costs[len(costs)/2]
 	}
 
-	var alg overlay.Algorithm
-	switch strings.ToUpper(*algo) {
-	case "RJ":
-		alg = overlay.RJ{}
-	case "CO-RJ", "CORJ":
-		alg = overlay.CORJ{}
-	case "LTF":
-		alg = overlay.LTF{}
-	case "STF":
-		alg = overlay.STF{}
-	case "MCTF":
-		alg = overlay.MCTF{}
-	default:
-		log.Fatalf("membershipd: unknown algorithm %q", *algo)
+	alg, err := overlay.ParseAlgorithm(*algo)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	srv, err := membership.New(membership.Config{

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -75,7 +74,7 @@ func main() {
 	for id := range stats {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+	stream.SortIDs(ids)
 	fmt.Printf("rpnode: published %d frames\n", node.Published())
 	for _, id := range ids {
 		st := stats[id]

@@ -21,7 +21,7 @@ import (
 func TestRunVirtualEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	opt := options{
-		n: 4, nodes: 8, cameras: 2, displays: 1,
+		nodes: 8, cameras: 2, displays: 1,
 		algo: "RJ", seed: 21,
 		duration: 1200 * time.Millisecond,
 		virtual:  true, scenario: session.ScenarioFlashCrowd,
@@ -30,7 +30,7 @@ func TestRunVirtualEndToEnd(t *testing.T) {
 		jsonlPath: filepath.Join(dir, "cluster.jsonl"),
 	}
 	var out, stdout bytes.Buffer
-	if err := runVirtual(opt, &out, &stdout); err != nil {
+	if err := run(opt, &out, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"virtual cluster, 8 sites", "scenario flash-crowd", "disruption latency", "sim prediction"} {
@@ -99,7 +99,7 @@ func TestRunVirtualEndToEnd(t *testing.T) {
 // stdout writer while the human summary stays on the summary writer.
 func TestRunVirtualStdoutSink(t *testing.T) {
 	opt := options{
-		n: 4, cameras: 1, displays: 1,
+		nodes: 4, cameras: 1, displays: 1,
 		algo: "RJ", seed: 3,
 		duration: 800 * time.Millisecond,
 		virtual:  true, scenario: session.ScenarioSteadyChurn,
@@ -107,7 +107,7 @@ func TestRunVirtualStdoutSink(t *testing.T) {
 		csvPath: "-",
 	}
 	var out, stdout bytes.Buffer
-	if err := runVirtual(opt, &out, &stdout); err != nil {
+	if err := run(opt, &out, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&stdout).ReadAll()
@@ -125,14 +125,14 @@ func TestRunVirtualStdoutSink(t *testing.T) {
 // TestRunVirtualRejectsBadFlags covers the CLI error paths.
 func TestRunVirtualRejectsBadFlags(t *testing.T) {
 	var out, stdout bytes.Buffer
-	if err := runVirtual(options{
-		n: 4, virtual: true, algo: "nope", scenario: session.ScenarioSteadyChurn,
+	if err := run(options{
+		nodes: 4, virtual: true, algo: "nope", scenario: session.ScenarioSteadyChurn,
 		cameras: 1, displays: 1, duration: time.Second, churnRate: 2, churnMix: 0.7,
 	}, &out, &stdout); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := runVirtual(options{
-		n: 4, virtual: true, algo: "RJ", scenario: "no-such-scenario",
+	if err := run(options{
+		nodes: 4, virtual: true, algo: "RJ", scenario: "no-such-scenario",
 		cameras: 1, displays: 1, duration: time.Second, churnRate: 2, churnMix: 0.7,
 	}, &out, &stdout); err == nil {
 		t.Error("unknown scenario accepted")
@@ -146,7 +146,7 @@ func TestRunVirtualRejectsBadFlags(t *testing.T) {
 func TestRunMultiTenantEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	opt := options{
-		n: 4, nodes: 40, cameras: 2, displays: 1,
+		nodes: 40, cameras: 2, displays: 1,
 		algo: "RJ", seed: 21,
 		duration:  1000 * time.Millisecond,
 		virtual:   true,
@@ -156,7 +156,7 @@ func TestRunMultiTenantEndToEnd(t *testing.T) {
 		jsonlPath: filepath.Join(dir, "tenants.jsonl"),
 	}
 	var out, stdout bytes.Buffer
-	if err := runVirtual(opt, &out, &stdout); err != nil {
+	if err := run(opt, &out, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"multi-tenant virtual cluster, 4 tenants over 40 sites", "premium-0", "besteffort-1"} {
@@ -208,43 +208,29 @@ func TestRunMultiTenantEndToEnd(t *testing.T) {
 func TestRunMultiTenantRejectsBadSpec(t *testing.T) {
 	var out, stdout bytes.Buffer
 	base := options{
-		n: 4, virtual: true, algo: "RJ", cameras: 1, displays: 1,
+		nodes: 4, virtual: true, algo: "RJ", cameras: 1, displays: 1,
 		duration: time.Second, churnRate: 2, churnMix: 0.7,
 	}
 	bad := base
 	bad.tenantSpec = "1xgold:4"
-	if err := runVirtual(bad, &out, &stdout); err == nil {
+	if err := run(bad, &out, &stdout); err == nil {
 		t.Error("unknown SLO class accepted")
 	}
 	bad = base
 	bad.tenants = 9 // 9 tenants cannot fit 4 sites at >= 2 each
-	if err := runVirtual(bad, &out, &stdout); err == nil {
+	if err := run(bad, &out, &stdout); err == nil {
 		t.Error("oversubscribed tenant count accepted")
 	}
 }
 
-// TestRejectsDroppedFlags pins that no flag is silently ignored: every
-// virtual-only flag fails TCP mode by name, and multi-tenant runs
-// reject the scenario, chaos and uplink settings they cannot honour.
+// TestRejectsDroppedFlags pins that no flag is silently ignored:
+// multi-tenant runs reject the scenario, chaos and uplink settings they
+// cannot honour, and -uplink needs tenants.
 func TestRejectsDroppedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-nodes", "8"}, "-nodes"},
-		{[]string{"-scenario", "partition"}, "-scenario"},
-		{[]string{"-chaos", "300:rp-crash:0"}, "-chaos"},
-		{[]string{"-churnrate", "4"}, "-churnrate"},
-		{[]string{"-churnmix", "0.5"}, "-churnmix"},
-		{[]string{"-shards", "2"}, "-shards"},
-		{[]string{"-flush", "5"}, "-flush"},
-		{[]string{"-maxdisruption", "100"}, "-maxdisruption"},
-		{[]string{"-csv", "x.csv"}, "-csv"},
-		{[]string{"-jsonl", "x.jsonl"}, "-jsonl"},
-		{[]string{"-uplink", "4"}, "-uplink"},
-		{[]string{"-tenants", "2"}, "-tenants"},
-		{[]string{"-tenantspec", "2xbesteffort:4"}, "-tenantspec"},
-		{[]string{"-n", "4", "-shards", "2", "-csv", "x.csv"}, "-csv, -shards"},
 		{[]string{"-virtual", "-tenants", "2", "-scenario", "partition"}, "scenario"},
 		{[]string{"-virtual", "-tenantspec", "2xbesteffort:4", "-chaos", "300:latency-storm:2:100"}, "chaos"},
 		{[]string{"-virtual", "-tenants", "2", "-uplink", "-1"}, "uplink"},
@@ -253,7 +239,7 @@ func TestRejectsDroppedFlags(t *testing.T) {
 		opt, err := parseOptions(tc.args, flag.ContinueOnError)
 		if err == nil {
 			var out, stdout bytes.Buffer
-			err = runVirtual(opt, &out, &stdout)
+			err = run(opt, &out, &stdout)
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err %v, want one naming %q", tc.args, err, tc.want)
@@ -263,24 +249,40 @@ func TestRejectsDroppedFlags(t *testing.T) {
 	if _, err := parseOptions([]string{"-virtual", "-nodes", "8", "-shards", "2", "-csv", "x.csv"}, flag.ContinueOnError); err != nil {
 		t.Errorf("virtual flags rejected with -virtual: %v", err)
 	}
-	if _, err := parseOptions([]string{"-n", "3", "-cameras", "2", "-algo", "LTF"}, flag.ContinueOnError); err != nil {
-		t.Errorf("TCP flags rejected: %v", err)
-	}
 }
 
-// TestRunTCP drives the loopback-TCP mode end to end: a small session
-// streams for its duration and prints the live summary.
+// TestRunTCP drives the default fabric, loopback TCP, end to end: a
+// 4-site session churns, prints the live summary next to the sim
+// prediction and writes one JSONL record.
 func TestRunTCP(t *testing.T) {
-	var out bytes.Buffer
-	if err := runTCP(options{
-		n: 3, cameras: 2, displays: 1, algo: "RJ", seed: 5, duration: 400 * time.Millisecond,
-	}, &out); err != nil {
+	opt, err := parseOptions([]string{"-cameras", "2", "-displays", "1", "-duration", "1200ms",
+		"-churnrate", "4", "-seed", "7", "-jsonl", filepath.Join(t.TempDir(), "tcp.jsonl")}, flag.ContinueOnError)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ticluster: 3 sites:", "planned forest", "0 control events", "frames:"} {
+	var out, stdout bytes.Buffer
+	if err := run(opt, &out, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"loopback TCP cluster, 4 sites", "control events over the wire", "sim prediction", "frames:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, out.String())
 		}
+	}
+	data, err := os.ReadFile(opt.jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("wrote %d records, want 1:\n%s", len(lines), data)
+	}
+	var rec reclib.Record
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.N != 4 || rec.ChurnEvents <= 0 || rec.Scenario != session.ScenarioSteadyChurn {
+		t.Errorf("record axes: %+v", rec)
 	}
 }
 

@@ -7,41 +7,28 @@
 //	tisim -fig ablation    # reservation-mode and join-policy ablations
 //	tisim -fig capacity    # the §1 capacity back-of-envelope table
 //	tisim -churn [-churnrate 4] [-churnmix 0.7]   # event-driven churn sweep
-//	tisim -churn -live [-liven 4] [-livems 2000]  # same churn, real TCP loopback
 //	tisim -fig 8a -cpuprofile cpu.prof -memprofile mem.prof  # pprof capture (see `make profile`)
 //
 // The -churn mode runs the event-driven simulator over FOV-driven
 // sessions under seeded mid-session churn (view changes, joins, leaves)
 // and reports disruption latency — the time from a view change to the
 // first delivered frame of each newly needed stream — versus session
-// size.
-//
-// Adding -live replays one such churn trace over the real networked
-// plane (a membership server plus one RP per site on loopback TCP,
-// resubscriptions applied mid-session over the wire) and prints the
-// measured live disruption latency per event next to the simulator's
-// prediction for the same trace and forest.
+// size. ticluster replays such churn over the real networked plane.
 //
 // Output is an aligned text table per figure (or CSV with -csv).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"github.com/tele3d/tele3d/internal/experiments"
 	"github.com/tele3d/tele3d/internal/metrics"
-	"github.com/tele3d/tele3d/internal/overlay"
-	"github.com/tele3d/tele3d/internal/session"
 	"github.com/tele3d/tele3d/internal/stream"
-	"github.com/tele3d/tele3d/internal/workload"
 )
 
 // options is the parsed command line.
@@ -54,9 +41,6 @@ type options struct {
 	churn      bool
 	churnRate  float64
 	churnMix   float64
-	live       bool
-	liveN      int
-	liveMs     float64
 	cpuprofile string
 	memprofile string
 }
@@ -77,9 +61,6 @@ func parseFlags(args []string, errW io.Writer) (options, error) {
 	fs.BoolVar(&o.churn, "churn", false, "run the event-driven churn sweep instead of a figure")
 	fs.Float64Var(&o.churnRate, "churnrate", 4, "churn events per second (with -churn; spelled as tisweep's axis)")
 	fs.Float64Var(&o.churnMix, "churnmix", 0.7, "fraction of churn events that are view changes (with -churn)")
-	fs.BoolVar(&o.live, "live", false, "with -churn: replay one churn trace over real TCP loopback and compare against the sim prediction")
-	fs.IntVar(&o.liveN, "liven", 4, "number of sites for the live session (with -live)")
-	fs.Float64Var(&o.liveMs, "livems", 2000, "live session length in milliseconds (with -live)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (view with `go tool pprof`)")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +71,6 @@ func parseFlags(args []string, errW io.Writer) (options, error) {
 	}
 	if o.samples < 1 {
 		return o, fmt.Errorf("-samples %d < 1", o.samples)
-	}
-	if o.live && !o.churn {
-		return o, fmt.Errorf("-live requires -churn")
-	}
-	if o.live && (o.liveN < 2 || o.liveMs <= 0) {
-		return o, fmt.Errorf("-liven %d / -livems %g invalid", o.liveN, o.liveMs)
 	}
 	return o, nil
 }
@@ -181,9 +156,6 @@ func run(w io.Writer, opts options) error {
 		_, err := fmt.Fprintln(w)
 		return err
 	}
-	if opts.live {
-		return runLive(w, opts)
-	}
 	if opts.churn {
 		series, err := r.ChurnSweep(opts.churnRate, opts.churnMix)
 		if err != nil {
@@ -261,67 +233,6 @@ func run(w io.Writer, opts options) error {
 			return fmt.Errorf("unknown figure %q", f)
 		}
 	}
-	return nil
-}
-
-// runLive replays one FOV-driven churn trace twice — through the
-// event-driven simulator and over the real TCP loopback plane — and
-// prints the per-event disruption latencies side by side.
-func runLive(w io.Writer, opts options) error {
-	spec := session.Spec{
-		N: opts.liveN, CamerasPerSite: 3, DisplaysPerSite: 1,
-		Algorithm: overlay.RJ{}, Seed: opts.seed,
-	}
-	s, err := session.Build(spec)
-	if err != nil {
-		return err
-	}
-	cfg := session.LiveConfig{
-		Profile:    stream.Profile{Width: 64, Height: 48, FPS: 15, CompressionRatio: 10},
-		DurationMs: opts.liveMs,
-		Algorithm:  overlay.RJ{},
-		Seed:       opts.seed,
-	}
-	profile := workload.ChurnProfile{RatePerSec: opts.churnRate, ViewChangeMix: opts.churnMix}
-	trace, err := s.ChurnTrace(profile, cfg.DurationMs, rand.New(rand.NewSource(opts.seed+1)))
-	if err != nil {
-		return err
-	}
-	if len(trace) == 0 {
-		return fmt.Errorf("churn trace is empty; raise -churnrate or -livems")
-	}
-	simRes, err := s.SimPrediction(cfg, trace)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Duration(cfg.DurationMs)*time.Millisecond+30*time.Second)
-	defer cancel()
-	liveRes, err := s.RunLive(ctx, cfg, trace)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "# Live churn: %d sites, %d events over %.0fms (rate=%g/s, view-change mix=%g)\n",
-		opts.liveN, len(trace), cfg.DurationMs, opts.churnRate, opts.churnMix)
-	fmt.Fprintf(w, "%5s %8s %5s %6s %6s  %14s %14s\n",
-		"event", "t(ms)", "node", "+acc", "-rej", "live disr(ms)", "sim disr(ms)")
-	for i, le := range liveRes.Events {
-		se := simRes.Events[i]
-		liveCol, simCol := "-", "-"
-		if le.DeliveredGained > 0 {
-			liveCol = fmt.Sprintf("%.1f", le.MeanDisruptionMs)
-		}
-		if se.DeliveredGained > 0 {
-			simCol = fmt.Sprintf("%.1f", se.MeanDisruptionMs)
-		}
-		fmt.Fprintf(w, "%5d %8.0f %5d %6d %6d  %14s %14s\n",
-			i, le.AtMs, le.Node, le.GainedAccepted, le.GainedRejected, liveCol, simCol)
-	}
-	fmt.Fprintf(w, "\nmean disruption: live %.1fms (%d gains delivered), sim %.1fms (%d delivered); tolerance %dms\n",
-		liveRes.MeanDisruptionMs, liveRes.DeliveredGained,
-		simRes.MeanDisruptionMs, simRes.DeliveredGained, session.LiveSimToleranceMs)
-	fmt.Fprintf(w, "frames delivered live: %d; final routing epoch: %d\n",
-		liveRes.TotalFrames, liveRes.FinalEpoch)
 	return nil
 }
 

@@ -109,38 +109,11 @@ func parseAlgorithms(s string) ([]overlay.Algorithm, error) {
 	}
 	out := make([]overlay.Algorithm, 0, len(toks))
 	for _, tok := range toks {
-		alg, err := algorithmByName(tok)
+		alg, err := overlay.ParseAlgorithm(tok)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-alg: %w", err)
 		}
 		out = append(out, alg)
 	}
 	return out, nil
-}
-
-func algorithmByName(name string) (overlay.Algorithm, error) {
-	lower := strings.ToLower(name)
-	if g, ok := strings.CutPrefix(lower, "gran-ltf:"); ok {
-		v, err := strconv.Atoi(g)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("-alg: bad granularity in %q", name)
-		}
-		return overlay.GranLTF{G: v}, nil
-	}
-	switch lower {
-	case "stf":
-		return overlay.STF{}, nil
-	case "ltf":
-		return overlay.LTF{}, nil
-	case "mctf":
-		return overlay.MCTF{}, nil
-	case "rj":
-		return overlay.RJ{}, nil
-	case "co-rj", "corj":
-		return overlay.CORJ{}, nil
-	case "alltoall", "all-to-all":
-		return overlay.AllToAll{}, nil
-	default:
-		return nil, fmt.Errorf("-alg: unknown algorithm %q (want stf, ltf, mctf, rj, co-rj, alltoall or gran-ltf:<g>)", name)
-	}
 }

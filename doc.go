@@ -33,11 +33,11 @@
 // snapshot while frames keep flowing — stale in-flight frames are
 // discarded, duplicates across a parent swap are suppressed by a
 // per-stream sequence watermark, and the first delivered frame of each
-// gained stream is timestamped. session.RunLive drives a churn trace
-// over real TCP loopback and reports the same disruption-latency metric
-// as sim.RunEvents; session.SimPrediction reconstructs the membership
-// server's exact forest so the two planes are directly comparable
-// (cmd/tisim -churn -live prints them side by side).
+// gained stream is timestamped. session.RunCluster drives a churn trace
+// over real TCP loopback or the virtual fabric and reports the same
+// disruption-latency metric as sim.RunEvents; session.SimPrediction
+// reconstructs the membership server's exact forest so the two planes
+// are directly comparable (cmd/ticluster prints them side by side).
 //
 // The plane is fabric-agnostic: every listen and dial goes through
 // transport.Network, whose TCP implementation preserves the behaviour

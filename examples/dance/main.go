@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -117,7 +116,7 @@ func main() {
 		for id := range stats {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+		stream.SortIDs(ids)
 		fmt.Printf("  site %d:\n", i)
 		for _, id := range ids {
 			st := stats[id]

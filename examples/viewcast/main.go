@@ -6,10 +6,11 @@
 // under.
 //
 // The second half replays the same kind of view dynamics over the real
-// networked plane: a membership server and per-site rendezvous points on
-// loopback TCP, with the churn trace's resubscriptions applied
-// mid-session over the wire and disruption latency measured from actual
-// frame deliveries, side by side with the simulator's prediction.
+// networked plane with one session.RunCluster call: a membership server
+// and per-site rendezvous points on loopback TCP, with a churn trace's
+// resubscriptions applied mid-session over the wire and disruption
+// latency measured from actual frame deliveries, side by side with the
+// simulator's prediction.
 package main
 
 import (
@@ -17,14 +18,13 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/tele3d/tele3d/internal/fov"
 	"github.com/tele3d/tele3d/internal/metrics"
 	"github.com/tele3d/tele3d/internal/overlay"
 	"github.com/tele3d/tele3d/internal/session"
-	"github.com/tele3d/tele3d/internal/stream"
+	"github.com/tele3d/tele3d/internal/transport"
 	"github.com/tele3d/tele3d/internal/workload"
 )
 
@@ -64,42 +64,28 @@ func main() {
 			len(s.Forest.Trees()), metrics.Rejection(s.Forest))
 	}
 
-	// Part two: the same view dynamics over the wire. A fresh session's
+	// Part two: the same view dynamics over the wire. A fresh cluster's
 	// churn trace is applied mid-stream to live RPs on loopback TCP; the
 	// membership server pushes routing deltas and each gained stream's
 	// first delivered frame yields a measured disruption latency.
 	fmt.Println("\nlive plane: replaying a churn trace over loopback TCP...")
-	live, err := session.Build(session.Spec{
-		N: 4, CamerasPerSite: 3, DisplaysPerSite: 1, Algorithm: overlay.RJ{}, Seed: 23,
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := session.RunCluster(ctx, session.ClusterConfig{
+		Spec: session.ClusterSpec{Spec: session.Spec{
+			N: 4, CamerasPerSite: 3, DisplaysPerSite: 1, Algorithm: overlay.RJ{}, Seed: 23,
+		}},
+		Fabric:     transport.TCPFabric{DialTimeout: transport.DefaultDialTimeout},
+		DurationMs: 1500,
+		Churn:      workload.ChurnProfile{RatePerSec: 6, ViewChangeMix: 0.8},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := session.LiveConfig{
-		Profile:    stream.Profile{Width: 64, Height: 48, FPS: 15, CompressionRatio: 10},
-		DurationMs: 1500,
-		Algorithm:  overlay.RJ{},
-		Seed:       23,
-	}
-	trace, err := live.ChurnTrace(workload.ChurnProfile{RatePerSec: 3, ViewChangeMix: 0.8},
-		cfg.DurationMs, rand.New(rand.NewSource(9)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	simRes, err := live.SimPrediction(cfg, trace)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := live.RunLive(ctx, cfg, trace)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, e := range res.Events {
+	for i, e := range res.Live.Events {
 		fmt.Printf("  event %d at %4.0fms: site %d gained %d streams, live disruption %.1fms (sim predicts %.1fms)\n",
-			i, e.AtMs, e.Node, e.GainedAccepted, e.MeanDisruptionMs, simRes.Events[i].MeanDisruptionMs)
+			i, e.AtMs, e.Node, e.GainedAccepted, e.MeanDisruptionMs, res.Sim.Events[i].MeanDisruptionMs)
 	}
 	fmt.Printf("  mean disruption: live %.1fms vs sim %.1fms over %d delivered gains; %d frames delivered, final epoch %d\n",
-		res.MeanDisruptionMs, simRes.MeanDisruptionMs, res.DeliveredGained, res.TotalFrames, res.FinalEpoch)
+		res.Live.MeanDisruptionMs, res.Sim.MeanDisruptionMs, res.Live.DeliveredGained, res.Live.TotalFrames, res.Live.FinalEpoch)
 }

@@ -102,7 +102,7 @@ type churnObs struct {
 }
 
 // churnSample evaluates one Monte-Carlo churn sample. Pure up to its
-// deterministic per-sample RNGs, like runSample.
+// deterministic per-sample RNGs, like runSampleMulti.
 func (r *Runner) churnSample(pt ChurnPoint, s int) (churnObs, error) {
 	var obs churnObs
 	seed := r.cfg.Seed + int64(s)*1_000_003 + int64(pt.N)*7919

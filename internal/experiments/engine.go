@@ -1,9 +1,9 @@
 package experiments
 
 // engine.go is the parallel experiment engine: a pure per-sample
-// evaluation function (runSample) fanned out over a bounded worker pool
-// (forEachSample), reduced in sample-index order so the output of a run
-// is bit-identical at every Parallelism setting — including the old
+// evaluation function (runSampleMulti) fanned out over a bounded worker
+// pool (forEachSample), reduced in sample-index order so the output of a
+// run is bit-identical at every Parallelism setting — including the old
 // serial path, which is simply Parallelism 1.
 
 import (
@@ -84,7 +84,8 @@ type PointResult struct {
 	ConstructMs float64
 }
 
-// sampleObs is the observation one runSample call contributes.
+// sampleObs is the observation one algorithm contributes to a
+// runSampleMulti call.
 type sampleObs struct {
 	rejection    float64
 	weightedRaw  float64
@@ -93,9 +94,9 @@ type sampleObs struct {
 	constructMs  float64
 }
 
-// sampleScratch is the per-worker reusable state behind runSample: the
-// selected site set (cost matrix included), the assembled problem, and
-// the overlay construction workspace. A worker drains samples
+// sampleScratch is the per-worker reusable state behind runSampleMulti:
+// the selected site set (cost matrix included), the assembled problem,
+// and the overlay construction workspace. A worker drains samples
 // sequentially, so one scratch per in-flight sample (leased from the
 // runner's pool) amortizes every N×N matrix and forest allocation across
 // the batch without any cross-sample state leaking into results — each
@@ -195,51 +196,14 @@ func (r *Runner) runSampleMulti(pt Point, algs []overlay.Algorithm, s int, emit 
 	return nil
 }
 
-// runSample evaluates one Monte-Carlo sample of a cell. It is pure up to
-// its deterministic per-sample RNGs — both derived from Config.Seed and
-// the sample index exactly as the historical serial loop derived them —
-// so any assignment of samples to workers reproduces the serial results.
-func (r *Runner) runSample(pt Point, alg overlay.Algorithm, s int) (sampleObs, error) {
-	var obs sampleObs
-	err := r.runSampleMulti(pt, []overlay.Algorithm{alg}, s, func(_ int, o sampleObs) { obs = o })
-	return obs, err
-}
-
-// RunPoint evaluates a cell over the full sample batch, fanning samples
-// across Config.Parallelism workers and reducing in sample-index order.
+// RunPoint evaluates a cell for one algorithm: RunPointMulti with algs
+// of length one.
 func (r *Runner) RunPoint(pt Point, alg overlay.Algorithm) (PointResult, error) {
-	pt = pt.withDefaults(r.cfg)
-	obs := make([]sampleObs, r.cfg.Samples)
-	err := forEachSample(r.cfg.Samples, r.cfg.Parallelism, func(s int) error {
-		o, err := r.runSample(pt, alg, s)
-		if err != nil {
-			return err
-		}
-		obs[s] = o
-		return nil
-	})
+	res, err := r.RunPointMulti(pt, []overlay.Algorithm{alg})
 	if err != nil {
 		return PointResult{}, err
 	}
-	// Deterministic reduction: fold samples in index order, whatever
-	// order the workers finished in.
-	var rej, wraw, wnorm metrics.Accumulator
-	var util metrics.UtilizationAccumulator
-	var constructMs float64
-	for _, o := range obs {
-		rej.Observe(o.rejection)
-		wraw.Observe(o.weightedRaw)
-		wnorm.Observe(o.weightedNorm)
-		util.Observe(o.util)
-		constructMs += o.constructMs
-	}
-	return PointResult{
-		Rejection:    rej.Mean(),
-		WeightedRaw:  wraw.Mean(),
-		WeightedNorm: wnorm.Mean(),
-		Utilization:  util.Mean(),
-		ConstructMs:  constructMs,
-	}, nil
+	return res[0], nil
 }
 
 // RunPointMulti evaluates a cell for several algorithms over the same
@@ -247,7 +211,9 @@ func (r *Runner) RunPoint(pt Point, alg overlay.Algorithm) (PointResult, error) 
 // and presented to every algorithm (the paired comparison the paper's
 // figures rely on), so a four-algorithm sweep pays the workload cost
 // once instead of four times. Results are returned in algs order and are
-// bit-identical to len(algs) separate RunPoint calls.
+// the same at every worker count: samples fan out across
+// Config.Parallelism workers, and each algorithm's observations are
+// folded in sample-index order, whatever order the workers finished in.
 func (r *Runner) RunPointMulti(pt Point, algs []overlay.Algorithm) ([]PointResult, error) {
 	pt = pt.withDefaults(r.cfg)
 	if len(algs) == 0 {

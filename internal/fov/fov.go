@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/tele3d/tele3d/internal/stream"
 )
@@ -279,7 +278,7 @@ func Aggregate(site int, perDisplay ...[]stream.ID) Subscription {
 				ids = append(ids, id)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+		stream.SortIDs(ids)
 		return Subscription{Site: site, Streams: ids}
 	}
 	keys := make([]uint64, 0, total)

@@ -980,7 +980,7 @@ func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 		}
 	}
 	for _, r := range out {
-		sort.Slice(r.Forward, func(a, b int) bool { return r.Forward[a].Stream.Less(r.Forward[b].Stream) })
+		slices.SortFunc(r.Forward, func(a, b transport.Route) int { return stream.Compare(a.Stream, b.Stream) })
 		stream.SortIDs(r.Accepted)
 		stream.SortIDs(r.Rejected)
 	}

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Algorithm constructs a forest for a problem. Implementations must be
@@ -281,4 +283,34 @@ func (AllToAll) constructWith(ws *Workspace, p *Problem, rng *rand.Rand) (*Fores
 // they appear in Figure 8.
 func Algorithms() []Algorithm {
 	return []Algorithm{STF{}, LTF{}, MCTF{}, RJ{}}
+}
+
+// ParseAlgorithm resolves a command-line algorithm name, case-insensitively:
+// stf, ltf, mctf, rj, co-rj (or corj), alltoall (or all-to-all), and the
+// granular LTF with its granularity inline, "gran-ltf:<g>" with g >= 1.
+// Every plain algorithm's Name parses back to it.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	lower := strings.ToLower(name)
+	if g, ok := strings.CutPrefix(lower, "gran-ltf:"); ok {
+		v, err := strconv.Atoi(g)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("overlay: bad granularity in %q", name)
+		}
+		return GranLTF{G: v}, nil
+	}
+	switch lower {
+	case "stf":
+		return STF{}, nil
+	case "ltf":
+		return LTF{}, nil
+	case "mctf":
+		return MCTF{}, nil
+	case "rj":
+		return RJ{}, nil
+	case "co-rj", "corj":
+		return CORJ{}, nil
+	case "alltoall", "all-to-all":
+		return AllToAll{}, nil
+	}
+	return nil, fmt.Errorf("overlay: unknown algorithm %q (want stf, ltf, mctf, rj, co-rj, alltoall or gran-ltf:<g>)", name)
 }

@@ -341,3 +341,27 @@ func TestMCTFOrdersByAggregateCapacity(t *testing.T) {
 		t.Errorf("MCTF order starts with %v, want %v (least aggregate capacity)", groups[0].Stream, s0)
 	}
 }
+
+// TestParseAlgorithm pins the one name parser every command shares:
+// each plain algorithm's Name parses back to it, the alternative
+// spellings resolve, and bad names fail.
+func TestParseAlgorithm(t *testing.T) {
+	for _, a := range []Algorithm{STF{}, LTF{}, MCTF{}, RJ{}, CORJ{}, AllToAll{}} {
+		got, err := ParseAlgorithm(a.Name())
+		if err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.Name(), got, err, a)
+		}
+	}
+	for name, want := range map[string]Algorithm{
+		"corj": CORJ{}, "all-to-all": AllToAll{}, "Rj": RJ{}, "GRAN-LTF:20": GranLTF{G: 20},
+	} {
+		if got, err := ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "dijkstra", "gran-ltf:0", "gran-ltf:x", "gran-ltf:", "Gran-LTF(20)"} {
+		if _, err := ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,12 +120,6 @@ type Config struct {
 	// plane. nil disables admission — the legacy single-session
 	// behaviour.
 	Admission *Admission
-
-	// Backoff is the retry policy for every dial the node performs
-	// (registration, control-plane failover, peer links). Zero fields
-	// take the transport package defaults; the jitter seed, when unset,
-	// is derived from Seed and Site so concurrent nodes decorrelate.
-	Backoff transport.Backoff
 
 	// RetryStats, when non-nil, is the shared counter dial retries are
 	// recorded into (the live session aggregates one across all its
@@ -444,11 +439,6 @@ func New(cfg Config) (*Node, error) {
 	for _, id := range cfg.Subscriptions {
 		desired[id] = true
 	}
-	backoff := cfg.Backoff
-	if backoff.Seed == 0 {
-		// Decorrelate concurrent nodes' jitter deterministically.
-		backoff.Seed = cfg.Seed + int64(cfg.Site)*7919 + 1
-	}
 	retry := cfg.RetryStats
 	if retry == nil {
 		retry = &transport.RetryStats{}
@@ -457,7 +447,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:        cfg,
 		rig:        rig,
 		ready:      make(chan struct{}),
-		backoff:    backoff,
+		backoff:    transport.Backoff{Seed: cfg.Seed + int64(cfg.Site)*7919 + 1}, // per-node jitter
 		retry:      retry,
 		desired:    desired,
 		peerConn:   make(map[int]*peerConnState),
@@ -577,12 +567,8 @@ func (n *Node) registerBoot(ctx context.Context, shard int, addrs []string) (net
 func (n *Node) sweep(ctx context.Context, shard, first, scale int, reregister bool) (net.Conn, *transport.Routes, error) {
 	oneShot := n.backoff
 	oneShot.Attempts = -1
-	attempts := n.backoff.Attempts
-	if attempts <= 0 {
-		attempts = transport.DefaultBackoffAttempts
-	}
 	var lastErr error
-	for a := 0; a < attempts*scale; a++ {
+	for a := 0; a < transport.DefaultBackoffAttempts*scale; a++ {
 		if a > 0 {
 			if err := n.backoff.Sleep(ctx, a-1); err != nil {
 				return nil, nil, err
@@ -702,7 +688,7 @@ func (n *Node) Routes() *transport.Routes {
 	}
 	r := t.wire(nil)
 	r.Site, r.Epoch, r.Peers = n.cfg.Site, t.epoch, t.peers
-	sort.Slice(r.Forward, func(a, b int) bool { return r.Forward[a].Stream.Less(r.Forward[b].Stream) })
+	slices.SortFunc(r.Forward, func(a, b transport.Route) int { return stream.Compare(a.Stream, b.Stream) })
 	stream.SortIDs(r.Accepted)
 	stream.SortIDs(r.Rejected)
 	return r
@@ -1370,12 +1356,8 @@ func (n *Node) reconnectPeer(site int, st *peerConnState) {
 			st.dead = dead
 			n.mu.Unlock()
 		}
-		attempts := n.backoff.Attempts
-		if attempts <= 0 {
-			attempts = transport.DefaultBackoffAttempts
-		}
 		var lastErr error
-		for a := 0; a < attempts; a++ {
+		for a := 0; a < transport.DefaultBackoffAttempts; a++ {
 			if err := n.backoff.Sleep(n.ctx, a); err != nil {
 				finish(false)
 				return
@@ -1399,7 +1381,7 @@ func (n *Node) reconnectPeer(site int, st *peerConnState) {
 		}
 		finish(true)
 		n.recordErr(fmt.Errorf("rp: site %d link to peer %d: %d attempts exhausted: %w",
-			n.cfg.Site, site, attempts, lastErr))
+			n.cfg.Site, site, transport.DefaultBackoffAttempts, lastErr))
 	}()
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/tele3d/tele3d/internal/fov"
 	"github.com/tele3d/tele3d/internal/sim"
@@ -109,8 +108,8 @@ func (s *Session) ChurnTrace(profile workload.ChurnProfile, durationMs float64, 
 			if len(gained) == 0 && len(lost) == 0 {
 				continue
 			}
-			sort.Slice(gained, func(a, b int) bool { return gained[a].Less(gained[b]) })
-			sort.Slice(lost, func(a, b int) bool { return lost[a].Less(lost[b]) })
+			stream.SortIDs(gained)
+			stream.SortIDs(lost)
 			for _, id := range gained {
 				subs[site][id] = true
 			}
@@ -159,7 +158,7 @@ func (s *Session) ChurnTrace(profile workload.ChurnProfile, durationMs float64, 
 				for id := range subs[i] {
 					ids = append(ids, id)
 				}
-				sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+				stream.SortIDs(ids)
 				for _, id := range ids {
 					live = append(live, pair{site: i, id: id})
 				}

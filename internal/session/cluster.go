@@ -1,17 +1,18 @@
 package session
 
-// cluster.go scales the live plane past the backbone's PoP count: Build
-// places a cluster's N sites round-robin on the 40 backbone PoPs
-// (co-located sites a metro link apart) and RunCluster boots the whole
-// membership+RP stack — the identical protocol code the TCP plane runs —
-// on an in-memory transport.VirtualNetwork whose links carry the
-// backbone's pairwise latency. One process hosts thousands of nodes:
-// no kernel sockets, no ports, no file descriptors.
+// cluster.go is the one live runner. Build places a cluster's N sites
+// round-robin on the 40 backbone PoPs (co-located sites a metro link
+// apart) and RunCluster boots the whole membership+RP stack on one
+// fabric: by default an in-memory transport.VirtualNetwork whose links
+// carry the backbone's pairwise latency — one process hosts thousands
+// of nodes, with no kernel sockets, ports or file descriptors — or, with
+// ClusterConfig.Fabric set, loopback TCP, which runs the identical
+// protocol code over the kernel's network and models no WAN latency.
 //
 // A scenario (scenario.go) supplies the session's dynamics: a churn
-// trace replayed over the wire exactly as RunLive does, plus a fault
-// schedule (partitions, slow links, membership restarts) the chaos
-// injector applies mid-run.
+// trace replayed over the wire (runLive), plus a fault schedule
+// (partitions, slow links, membership restarts) the chaos injector
+// applies mid-run.
 //
 // The same runner serves K tenants over one fabric. BuildTenants
 // expands ClusterConfig.Tenants into K independent cluster sessions
@@ -19,7 +20,7 @@ package session
 // tenant), books every tenant's initial subscriptions against the
 // shared per-PoP uplinks in SLO order, and plans each tenant's trace;
 // RunCluster then boots all K membership+RP stacks concurrently on one
-// VirtualNetwork — tenant-scoped host names keep the planes disjoint —
+// fabric — tenant-scoped host names keep the planes disjoint —
 // with one shared rp.Admission arbitrating uplink bandwidth for the
 // whole run. A config without Tenants is one tenant described by Spec:
 // tenant 0 keeps the configured seed, the plain host names and the
@@ -54,7 +55,7 @@ func BuildCluster(cs ClusterSpec) (*Session, error) { return Build(cs.Spec) }
 // exactly and the streams never collide for realistic tenant counts.
 const tenantSeedStride = 1_000_003
 
-// ClusterConfig parameterizes one virtual-fabric cluster run.
+// ClusterConfig parameterizes one live cluster run.
 type ClusterConfig struct {
 	// Spec describes the cluster session, as Build takes it. With
 	// Tenants set, Spec.N must be 0 and the rest of Spec (rig, caps,
@@ -91,6 +92,13 @@ type ClusterConfig struct {
 	// substituted default — the emitted records must never claim a
 	// churn rate the run did not use.
 	Churn workload.ChurnProfile
+	// Fabric is the transport the cluster runs on. nil builds a virtual
+	// WAN from each tenant's cost matrix, plus Link. transport.TCPFabric
+	// runs every connection over loopback TCP, which carries no modelled
+	// latency; there Link must be zero, and fault schedules that need
+	// the virtual fabric (storms, loss bursts, partitions, link
+	// degradation) are rejected.
+	Fabric transport.Fabric
 	// Link adds jitter, loss and bandwidth on top of the matrix latency
 	// of every site-to-site virtual link.
 	Link transport.LinkProfile
@@ -137,6 +145,9 @@ func (c ClusterConfig) validate() error {
 	if c.Scenario == ScenarioChaos && c.ChaosSchedule == "" {
 		return fmt.Errorf("session: scenario %s requires a chaos schedule", ScenarioChaos)
 	}
+	if c.Fabric != nil && c.Link != (transport.LinkProfile{}) {
+		return fmt.Errorf("session: a link profile shapes the default virtual fabric only; drop Link or Fabric")
+	}
 	if len(c.Tenants.Classes) == 0 {
 		return nil
 	}
@@ -175,8 +186,7 @@ type TenantRun struct {
 	Trace []sim.Event
 	// Config is the tenant's live configuration — seed, namespace, SLO,
 	// the shared admission controller and per-site uplinks (nil without
-	// Tenants), and the resolved chaos schedule. RunCluster adds the
-	// fabric.
+	// Tenants), and the resolved chaos schedule.
 	Config LiveConfig
 	// AdmittedStart / RejectedStart split the tenant's initial
 	// subscription demand by the pre-pass admission verdict (both 0
@@ -373,13 +383,13 @@ func (r *ClusterResult) DeliveredFraction() float64 {
 }
 
 // RunCluster builds the cluster (BuildTenants), boots every tenant's
-// membership+RP stack on one virtual fabric whose links carry each
-// tenant's backbone latency matrix, and drives each tenant's scenario
-// concurrently: its churn trace is applied mid-session over the wire
-// (the RunLive path, unchanged) while its fault schedule, joined with
-// the caller's, runs through the chaos injector. With Tenants set, one
-// admission controller arbitrates the shared PoP uplinks for the whole
-// run — premium reservations are never displaced, standard may evict
+// membership+RP stack on one fabric — cfg.Fabric, or by default a
+// virtual one whose links carry each tenant's backbone latency matrix —
+// and drives each tenant's scenario concurrently: its churn trace is
+// applied mid-session over the wire while its fault schedule, joined
+// with the caller's, runs through the chaos injector. With Tenants set,
+// one admission controller arbitrates the shared PoP uplinks for the
+// whole run — premium reservations are never displaced, standard may evict
 // best-effort mid-session, and every eviction is shed live from the
 // victim's data plane. The first tenant to fail cancels the others.
 // Each tenant's live measurement is paired with the simulator's
@@ -390,14 +400,17 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	costs := make([][][]float64, len(runs))
-	for i, run := range runs {
-		costs[i] = run.Session.Sites.Cost
+	fabric := cfg.Fabric
+	if fabric == nil {
+		costs := make([][][]float64, len(runs))
+		for i, run := range runs {
+			costs[i] = run.Session.Sites.Cost
+		}
+		fabric = transport.NewVirtualNetwork(transport.VirtualConfig{
+			Seed:  cfg.Spec.Seed,
+			Links: transport.TenantSiteLinks(costs, cfg.Link),
+		})
 	}
-	fabric := transport.NewVirtualNetwork(transport.VirtualConfig{
-		Seed:  cfg.Spec.Seed,
-		Links: transport.TenantSiteLinks(costs, cfg.Link),
-	})
 	lives, err := runTenants(ctx, runs, fabric)
 	if err != nil {
 		return nil, err
@@ -436,8 +449,8 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 	return res, nil
 }
 
-// runTenants runs every tenant's RunLive concurrently over one fabric;
-// the first error cancels the rest and is the one returned.
+// runTenants runs every tenant's live session concurrently over one
+// fabric; the first error cancels the rest and is the one returned.
 func runTenants(ctx context.Context, runs []*TenantRun, fabric transport.Fabric) ([]*LiveResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -451,9 +464,7 @@ func runTenants(ctx context.Context, runs []*TenantRun, fabric transport.Fabric)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lc := run.Config
-			lc.Fabric = fabric
-			live, err := run.Session.RunLive(ctx, lc, run.Trace)
+			live, err := run.Session.runLive(ctx, run.Config, fabric, run.Trace)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {

@@ -208,6 +208,58 @@ func TestVirtualClusterFlashCrowdBatched(t *testing.T) {
 		ph.ConstructMs, ph.BatchApplyMs, ph.RouteRebuildMs)
 }
 
+// TestRunClusterLoopbackTCP runs RunCluster over loopback TCP: steady
+// churn at 4 sites, and the failover preset with 2 shards, complete
+// over the kernel's network; a link profile, and a schedule that needs
+// the virtual fabric, are rejected by name.
+func TestRunClusterLoopbackTCP(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	base := ClusterConfig{
+		Spec: ClusterSpec{Spec: Spec{
+			N: 4, CamerasPerSite: 2, DisplaysPerSite: 1,
+			Algorithm: overlay.RJ{}, Seed: 7,
+		}},
+		Fabric:     loopback,
+		DurationMs: 1200,
+		Churn:      workload.ChurnProfile{RatePerSec: 4, ViewChangeMix: 0.7},
+	}
+	res, err := RunCluster(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sites != 4 || res.Live.TotalFrames == 0 || res.Sim == nil {
+		t.Fatalf("steady churn: %d sites, %d frames, sim %v", res.Sites, res.Live.TotalFrames, res.Sim)
+	}
+	if res.Events == 0 || len(res.Live.Events) != res.Events {
+		t.Fatalf("events: %d in trace, %d outcomes", res.Events, len(res.Live.Events))
+	}
+
+	fo := base
+	fo.Spec.N, fo.Scenario, fo.Shards = 6, ScenarioFailover, 2
+	if res, err = RunCluster(ctx, fo); err != nil {
+		t.Fatal(err)
+	}
+	if res.Live.Failovers != 1 {
+		t.Fatalf("failovers = %d, want exactly the killed shard", res.Live.Failovers)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(*ClusterConfig)
+		want string
+	}{
+		{"link profile", func(c *ClusterConfig) { c.Link.JitterMs = 2 }, "Link"},
+		{"partition", func(c *ClusterConfig) { c.Scenario = ScenarioPartition }, "requires the virtual fabric"},
+	} {
+		cfg := base
+		tc.edit(&cfg)
+		if _, err := RunCluster(ctx, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s on TCP: err %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestRunClusterValidation covers config error paths.
 func TestRunClusterValidation(t *testing.T) {
 	ctx := context.Background()

@@ -2,13 +2,14 @@ package session
 
 // live.go drives a session over the real networked control and data
 // plane: a membership server plus one rendezvous point per site on a
-// transport fabric — loopback TCP by default, or a virtual network whose
-// links carry the modelled WAN latency — with the same churn traces the
-// event-driven simulator replays. Events are applied mid-session over
-// the wire (MsgResubscribe → MsgRoutesUpdate deltas), frames keep
-// flowing while routing tables hot-swap, and per-event disruption
-// latency — view change to first delivered frame of each newly needed
-// stream — is measured from real wall-clock deliveries. SimPrediction
+// transport fabric — loopback TCP, or a virtual network whose links
+// carry the modelled WAN latency — with the same churn traces the
+// event-driven simulator replays; RunCluster is its one public entry.
+// Events are applied mid-session over the wire (MsgResubscribe →
+// MsgRoutesUpdate deltas), frames keep flowing while routing tables
+// hot-swap, and per-event disruption latency — view change to first
+// delivered frame of each newly needed stream — is measured from real
+// wall-clock deliveries. SimPrediction
 // builds the exact forest the membership server will construct and runs
 // sim.RunEvents over the same trace, so live measurements can be
 // cross-checked against the simulator's figure (see LiveSimToleranceMs).
@@ -59,16 +60,6 @@ type LiveConfig struct {
 	// DrainMs is how long after the last published frame the run keeps
 	// listening for in-flight deliveries; 0 means 400.
 	DrainMs float64
-	// Fabric supplies the transport substrate: nil means real TCP
-	// loopback, which carries no modelled WAN latency. Pass a
-	// transport.VirtualNetwork to run the identical protocol stack over
-	// in-memory links that apply each link's modelled latency — the
-	// path that scales to thousand-node clusters in one process (see
-	// RunCluster).
-	Fabric transport.Fabric
-	// DeliveryBuffer overrides each RP's local display queue bound;
-	// 0 means 8192.
-	DeliveryBuffer int
 	// Shards is the number of membership servers the control plane is
 	// partitioned into (transport.TenantStreamShard ownership); 0 or 1 boots
 	// the legacy single server.
@@ -204,19 +195,20 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	if c.DrainMs == 0 {
 		c.DrainMs = 400
 	}
-	if c.Fabric == nil {
-		c.Fabric = transport.TCPFabric{DialTimeout: transport.DefaultDialTimeout}
-	}
-	if c.DeliveryBuffer == 0 {
-		c.DeliveryBuffer = 8192
-	}
 	return c
 }
+
+// liveDeliveryBuffer bounds each RP's display queue in a live run.
+// Nothing drains the queues mid-run — disruption is measured from the
+// RPs' own first-frame records — so a queue must hold every frame its
+// site receives, or the run reports drops the plane never made: 8,192
+// frames is 18 s of 30 subscribed streams at 15 fps.
+const liveDeliveryBuffer = 8192
 
 // SimPrediction runs the event-driven simulator over the same trace and
 // the same forest the membership server will construct for this session
 // (identical workload, latency bound, algorithm and seed), producing the
-// figure RunLive is cross-checked against.
+// figure the live run is cross-checked against.
 func (s *Session) SimPrediction(cfg LiveConfig, events []sim.Event) (*sim.EventResult, error) {
 	cfg = cfg.withDefaults()
 	p, err := overlay.FromWorkload(s.Workload, s.Sites.Cost, s.Problem.Bcost)
@@ -232,14 +224,14 @@ func (s *Session) SimPrediction(cfg LiveConfig, events []sim.Event) (*sim.EventR
 	}, events)
 }
 
-// RunLive executes the session over real TCP loopback: a membership
-// server and one RP per site are booted, frames are published on the
-// profile's cadence, and the trace's events are applied mid-session
-// through each site's Resubscribe — the wire path, not the simulator.
-// Disruption latency is measured per gained stream from the moment the
-// resubscription request is sent to the first frame delivered at the
-// site's displays. The trace may be unsorted; ties keep trace order.
-func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Event) (*LiveResult, error) {
+// runLive executes the session on fabric: a membership server and one
+// RP per site are booted, frames are published on the profile's cadence,
+// and the trace's events are applied mid-session through each site's
+// Resubscribe — the wire path, not the simulator. Disruption latency is
+// measured per gained stream from the moment the resubscription request
+// is sent to the first frame delivered at the site's displays. The
+// trace may be unsorted; ties keep trace order.
+func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.Fabric, events []sim.Event) (*LiveResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Profile.Validate(); err != nil {
 		return nil, err
@@ -268,7 +260,7 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 	if shards < 1 {
 		shards = 1
 	}
-	vnet, _ := cfg.Fabric.(*transport.VirtualNetwork)
+	vnet, _ := fabric.(*transport.VirtualNetwork)
 	chaosActive := len(cfg.Chaos.Events) > 0
 	if chaosActive {
 		if err := validateChaos(cfg.Chaos, n, shards, vnet != nil); err != nil {
@@ -291,7 +283,7 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 		srv, err := membership.New(membership.Config{
 			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
 			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         cfg.Fabric.Host(host),
+			Network:         fabric.Host(host),
 			Shards:          shards,
 			Shard:           k,
 			FlushIntervalMs: cfg.FlushIntervalMs,
@@ -350,8 +342,8 @@ func (s *Session) RunLive(ctx context.Context, cfg LiveConfig, events []sim.Even
 			Cameras: s.Workload.Sites[i].NumStreams,
 			Profile: cfg.Profile, Seed: cfg.Seed*1000 + int64(i),
 			Subscriptions:  subs,
-			DeliveryBuffer: cfg.DeliveryBuffer,
-			Network:        cfg.Fabric.Host(transport.TenantSiteHost(cfg.Tenant, i)),
+			DeliveryBuffer: liveDeliveryBuffer,
+			Network:        fabric.Host(transport.TenantSiteHost(cfg.Tenant, i)),
 			Tenant:         cfg.Tenant,
 			SLO:            cfg.SLO,
 			Uplink:         uplink,

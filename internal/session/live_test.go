@@ -14,6 +14,9 @@ import (
 	"github.com/tele3d/tele3d/internal/workload"
 )
 
+// loopback is the TCP fabric the loopback tests run on.
+var loopback = transport.TCPFabric{DialTimeout: transport.DefaultDialTimeout}
+
 func liveProfile() stream.Profile {
 	return stream.Profile{Width: 64, Height: 48, FPS: 15, CompressionRatio: 10}
 }
@@ -52,7 +55,7 @@ func TestLiveChurnMatchesSimPrediction(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	liveRes, err := s.RunLive(ctx, cfg, trace)
+	liveRes, err := s.runLive(ctx, cfg, loopback, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +109,11 @@ func TestLiveChurnVirtualFabric(t *testing.T) {
 		DurationMs: 1500,
 		Algorithm:  overlay.RJ{},
 		Seed:       spec.Seed,
-		Fabric: transport.NewVirtualNetwork(transport.VirtualConfig{
-			Seed:  spec.Seed,
-			Links: transport.TenantSiteLinks([][][]float64{s.Sites.Cost}, transport.LinkProfile{}),
-		}),
 	}
+	fabric := transport.NewVirtualNetwork(transport.VirtualConfig{
+		Seed:  spec.Seed,
+		Links: transport.TenantSiteLinks([][][]float64{s.Sites.Cost}, transport.LinkProfile{}),
+	})
 	trace, err := s.ChurnTrace(workload.ChurnProfile{RatePerSec: 3, ViewChangeMix: 0.7}, cfg.DurationMs, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestLiveChurnVirtualFabric(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	liveRes, err := s.RunLive(ctx, cfg, trace)
+	liveRes, err := s.runLive(ctx, cfg, fabric, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +157,15 @@ func TestRunLiveValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.RunLive(ctx, LiveConfig{Profile: liveProfile()}, nil); err == nil {
+	if _, err := s.runLive(ctx, LiveConfig{Profile: liveProfile()}, loopback, nil); err == nil {
 		t.Error("zero duration accepted")
 	}
 	bad := []sim.Event{{AtMs: 10, Node: 99}}
-	if _, err := s.RunLive(ctx, LiveConfig{Profile: liveProfile(), DurationMs: 100}, bad); err == nil {
+	if _, err := s.runLive(ctx, LiveConfig{Profile: liveProfile(), DurationMs: 100}, loopback, bad); err == nil {
 		t.Error("out-of-range node accepted")
 	}
 	late := []sim.Event{{AtMs: 500, Node: 0}}
-	if _, err := s.RunLive(ctx, LiveConfig{Profile: liveProfile(), DurationMs: 100}, late); err == nil {
+	if _, err := s.runLive(ctx, LiveConfig{Profile: liveProfile(), DurationMs: 100}, loopback, late); err == nil {
 		t.Error("event after session end accepted")
 	}
 }

@@ -3,7 +3,8 @@
 // round-robin once N exceeds its PoP count), builds their camera rigs and
 // cyber-space, derives subscription workloads from per-display fields of
 // view (§3.2), and constructs the dissemination overlay — the full
-// pipeline of Figure 3.
+// pipeline of Figure 3. RunCluster, the one live runner, boots such
+// sessions on the networked plane, over loopback TCP or a virtual WAN.
 package session
 
 import (

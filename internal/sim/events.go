@@ -344,7 +344,7 @@ func RunEvents(cfg Config, events []Event) (*EventResult, error) {
 	for id := range captured {
 		capturedIDs = append(capturedIDs, id)
 	}
-	sort.Slice(capturedIDs, func(i, j int) bool { return capturedIDs[i].Less(capturedIDs[j]) })
+	stream.SortIDs(capturedIDs)
 
 	// Dense pair indexing: pair = node*S + stream index into capturedIDs.
 	// Every stream a successful dynamic operation can touch is captured

@@ -13,7 +13,7 @@ package stream
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies one 3D video stream globally: the stream with local camera
@@ -45,10 +45,8 @@ func Compare(a, b ID) int {
 	return cmp.Compare(a.Index, b.Index)
 }
 
-// SortIDs sorts ids in place by Less.
-func SortIDs(ids []ID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-}
+// SortIDs sorts ids in place by Compare.
+func SortIDs(ids []ID) { slices.SortFunc(ids, Compare) }
 
 // Raw capture constants from the paper's §1 back-of-envelope.
 const (

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"github.com/tele3d/tele3d/internal/stream"
 )
@@ -195,7 +194,7 @@ func DiffRoutes(old, new *Routes) *RoutesUpdate {
 			u.SetForward = append(u.SetForward, Route{Stream: id})
 		}
 	}
-	sort.Slice(u.SetForward, func(a, b int) bool { return u.SetForward[a].Stream.Less(u.SetForward[b].Stream) })
+	slices.SortFunc(u.SetForward, func(a, b Route) int { return stream.Compare(a.Stream, b.Stream) })
 	u.AddAccepted, u.DelAccepted = diffIDs(old.Accepted, new.Accepted)
 	u.AddRejected, u.DelRejected = diffIDs(old.Rejected, new.Rejected)
 	if u.Empty() {

@@ -303,7 +303,7 @@ func (w *Workload) SubscribedStreams() []stream.ID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	stream.SortIDs(out)
 	return out
 }
 
