@@ -147,17 +147,18 @@ tenant-smoke:
 # chaos-smoke is the fault-injection drill: a 100-node virtual cluster
 # with a 2-shard membership plane absorbs a composed chaos schedule —
 # an RP crash whose rejoin lands inside a fabric-wide latency storm,
-# then a restart of membership shard 1 once the fleet is whole — under
-# the race detector. The emitted record must carry the resolved
-# schedule, the fault count, the retry total and the shard failover,
-# proving the chaos columns flow end to end.
+# then two restarts of membership shard 1 once the fleet is whole, each
+# successor re-listening at the shard's one address — under the race
+# detector. The emitted record must carry the resolved schedule, the
+# fault count, the retry total and the shard failover, proving the
+# chaos columns flow end to end.
 chaos-smoke:
 	@jsonl="$$(mktemp /tmp/tele3d-chaos.XXXXXX)"; trap 'rm -f "$$jsonl"' EXIT; \
 	$(GO) run -race ./cmd/ticluster -virtual -nodes 100 -shards 2 -scenario chaos \
-		-chaos '300:rp-crash:rand;450:latency-storm:2:300;900:rp-rejoin:last;1100:membership-restart:1' \
+		-chaos '300:rp-crash:rand;450:latency-storm:2:300;900:rp-rejoin:last;1100:membership-restart:1;1300:membership-restart:1' \
 		-cameras 2 -displays 1 -duration 1500ms -churnrate 4 -seed 7 \
 		-jsonl "$$jsonl" || exit 1; \
-	grep -q '"chaos_events":4' "$$jsonl" || { echo "record missing chaos events:"; cat "$$jsonl"; exit 1; }; \
+	grep -q '"chaos_events":5' "$$jsonl" || { echo "record missing chaos events:"; cat "$$jsonl"; exit 1; }; \
 	grep -q '"failovers":1' "$$jsonl" || { echo "record missing the shard failover:"; cat "$$jsonl"; exit 1; }; \
 	grep -q '"shards":2' "$$jsonl" || { echo "record missing shard count:"; cat "$$jsonl"; exit 1; }; \
 	grep -q '"chaos_schedule":"300:rp-crash:' "$$jsonl" || { echo "record missing resolved schedule:"; cat "$$jsonl"; exit 1; }; \

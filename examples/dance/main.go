@@ -31,7 +31,7 @@ func main() {
 	// The WAN between the sites: every site-to-site link carries its
 	// cost-matrix latency.
 	fabric := transport.NewVirtualNetwork(transport.VirtualConfig{
-		Links: transport.TenantSiteLinks([][][]float64{cost}, transport.LinkProfile{}),
+		Links: transport.TenantSiteLinks([][][]float64{cost}),
 	})
 	// Each dancer site runs 4 cameras; every site wants the two front
 	// cameras of both other sites (the dancers' faces).

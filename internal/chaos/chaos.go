@@ -16,8 +16,9 @@
 //
 //	<atMs>:rp-crash:<site|rand>        crash the RP at a site
 //	<atMs>:rp-rejoin:<site|last>       rejoin a previously crashed RP
-//	<atMs>:membership-restart:<shard>  kill the shard's server; RPs fail
-//	                                   over to the next standby
+//	<atMs>:membership-restart:<shard>  kill the shard's server and boot a
+//	                                   successor at its address; RPs
+//	                                   re-register there
 //	<atMs>:latency-storm:<mult>:<durMs>   multiply every link's latency
 //	<atMs>:loss-burst:<loss>:<durMs>      add loss to every link
 //	<atMs>:partition-heal:<durMs>         split the cluster, heal after dur
@@ -57,8 +58,8 @@ const (
 	// the normal registration path.
 	RPRejoin Kind = "rp-rejoin"
 	// MembershipRestart kills one membership shard's live server (its
-	// Serve context is cancelled); every RP fails over to the next
-	// standby in the replicated directory.
+	// Serve context is cancelled) and boots a successor listening at the
+	// same address; every RP re-registers there.
 	MembershipRestart Kind = "membership-restart"
 	// LatencyStorm multiplies every fabric link's latency for a window.
 	LatencyStorm Kind = "latency-storm"
@@ -439,22 +440,6 @@ func (s Schedule) Resolve(seed int64, sites, shards int) (Schedule, error) {
 		}
 	}
 	return out, nil
-}
-
-// RestartsPerShard counts membership-restart events per shard index —
-// the session layer pre-boots one standby per scheduled restart so every
-// takeover has a live target.
-func (s Schedule) RestartsPerShard(shards int) []int {
-	if shards <= 0 {
-		shards = 1
-	}
-	counts := make([]int, shards)
-	for _, e := range s.Events {
-		if e.Kind == MembershipRestart {
-			counts[e.Shard%shards]++
-		}
-	}
-	return counts
 }
 
 // rand64 is a tiny xorshift64* generator for target resolution; chaos

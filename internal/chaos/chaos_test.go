@@ -164,18 +164,6 @@ func TestResolveBindsLastToMostRecentCrash(t *testing.T) {
 	}
 }
 
-// TestRestartsPerShard pins the standby pre-boot accounting.
-func TestRestartsPerShard(t *testing.T) {
-	s, err := ParseSchedule("1:membership-restart:0;2:membership-restart:1;3:membership-restart:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := s.RestartsPerShard(2)
-	if counts[0] != 1 || counts[1] != 2 {
-		t.Fatalf("restarts per shard = %v, want [1 2]", counts)
-	}
-}
-
 // fakeCluster records every injector call with a timestamp.
 type fakeCluster struct {
 	mu    sync.Mutex

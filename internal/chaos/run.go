@@ -27,8 +27,9 @@ type Cluster interface {
 	// RejoinRP boots a fresh RP for a crashed site and blocks until it
 	// has resynced through the normal registration path.
 	RejoinRP(ctx context.Context, site int) error
-	// RestartMembership kills the shard's live server and blocks until
-	// the next standby has taken over (every RP re-registered).
+	// RestartMembership kills the shard's live server, boots a successor
+	// at its address, and blocks until the successor has taken over
+	// (every RP re-registered).
 	RestartMembership(ctx context.Context, shard int) error
 	// SetStorm degrades every fabric link (latency multiplier + added
 	// loss); ClearStorm restores them.

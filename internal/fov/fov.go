@@ -104,14 +104,6 @@ func NewCyberspace(cameras []int) (*Cyberspace, error) {
 // NumSites returns the number of sites in the cyber-space.
 func (c *Cyberspace) NumSites() int { return len(c.layouts) }
 
-// Layout returns the layout of the given site.
-func (c *Cyberspace) Layout(site int) (SiteLayout, error) {
-	if site < 0 || site >= len(c.layouts) {
-		return SiteLayout{}, fmt.Errorf("fov: no site %d", site)
-	}
-	return c.layouts[site], nil
-}
-
 // SiteAngle returns the azimuth at which a site appears in the cyber-space
 // as seen from the room's centre.
 func (c *Cyberspace) SiteAngle(site int) (float64, error) {

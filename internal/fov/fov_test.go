@@ -100,12 +100,8 @@ func TestNewCyberspaceValidation(t *testing.T) {
 	if cs.NumSites() != 3 {
 		t.Errorf("NumSites = %d", cs.NumSites())
 	}
-	lay, err := cs.Layout(1)
-	if err != nil || lay.NumCameras != 10 {
-		t.Errorf("Layout(1) = %+v, %v", lay, err)
-	}
-	if _, err := cs.Layout(3); err == nil {
-		t.Error("out-of-range layout accepted")
+	if lay := cs.layouts[1]; lay.NumCameras != 10 {
+		t.Errorf("site 1 layout = %+v", lay)
 	}
 	if _, err := cs.SiteAngle(-1); err == nil {
 		t.Error("negative site angle accepted")
@@ -180,7 +176,7 @@ func TestContributingFigure4Shape(t *testing.T) {
 		t.Fatal("no contributions")
 	}
 	best := cons[0]
-	lay, _ := cs.Layout(1)
+	lay := cs.layouts[1]
 	facing := NormalizeAngle(az + math.Pi)
 	bestAngle, _ := lay.CameraAngle(best.Stream.Index)
 	for q := 0; q < lay.NumCameras; q++ {

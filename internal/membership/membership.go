@@ -28,14 +28,15 @@
 // positive FlushIntervalMs a burst of churn is coalesced into one delta
 // per site per flush instead of one per event.
 //
-// Failover needs no replication protocol: a standby is simply a fresh
-// Server for the same shard. RPs that lose the shard's control
-// connection re-register with the successor carrying their current
-// desired subscription set, their last-seen epoch (so the successor
-// resumes the epoch sequence above it) and their resubscribe-ID
-// high-water mark (so retried diffs are suppressed instead of
-// double-applied) — the paper's recovery primitive: state lives at the
-// edge and the coordinator is reconstructible.
+// Failover needs no replication protocol and no standby: a restarted
+// shard is simply a fresh Server listening at its predecessor's
+// address (Config.ListenAddr), the one address the RPs already hold.
+// RPs that lose the shard's control connection re-register there
+// carrying their current desired subscription set, their last-seen
+// epoch (so the successor resumes the epoch sequence above it) and their
+// resubscribe-ID high-water mark (so retried diffs are suppressed
+// instead of double-applied) — the paper's recovery primitive: state
+// lives at the edge and the coordinator is reconstructible.
 package membership
 
 import (
@@ -70,7 +71,9 @@ type Config struct {
 	// Seed drives the randomized construction. 0 means 1.
 	Seed int64
 	// ListenAddr is the address to listen on in the fabric's scheme,
-	// e.g. "127.0.0.1:0" for TCP (virtual fabrics assign their own).
+	// e.g. "127.0.0.1:0" for TCP. A virtual fabric assigns a fresh
+	// address unless this is a freed one of the server's own host; a
+	// restarted server passes its predecessor's Addr on either fabric.
 	ListenAddr string
 	// Network is the transport fabric to listen on; nil means real TCP
 	// (transport.TCPNetwork), preserving pre-fabric behaviour exactly.
@@ -161,9 +164,6 @@ type Server struct {
 	phaseConstructNs  int64
 	phaseBatchApplyNs int64
 	phaseRebuildNs    int64
-	// directory is the replicated session directory distributed to RPs
-	// inside every full Routes table (see transport.Routes.Directory).
-	directory [][]string
 	// pendingPeers holds mesh address changes (a site re-registered from
 	// a new listen address after a crash/rejoin) awaiting distribution:
 	// the next flush pushes them to every site as a Peers delta, since
@@ -240,17 +240,6 @@ func New(cfg Config) (*Server, error) {
 
 // Addr returns the server's dial address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// SetDirectory installs the replicated session directory the server
-// hands to every RP inside its full routing tables: dir[k] lists shard
-// k's server addresses, primary first, standbys after. Call before
-// Serve; nil leaves tables without a directory (legacy single-server
-// sessions need none).
-func (s *Server) SetDirectory(dir [][]string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.directory = dir
-}
 
 // Forest returns the live overlay forest (nil before Ready). It is
 // mutated by mid-session resubscriptions; queued-but-unflushed diffs are
@@ -559,7 +548,7 @@ func (s *Server) computeAndDistribute() error {
 	s.cur = s.buildRoutes(f)
 	s.phaseRebuildNs += time.Since(start).Nanoseconds()
 	for i, st := range s.sites {
-		// A re-registering site (standby takeover, Epoch > 0) already
+		// A re-registering site (a restart takeover, Epoch > 0) already
 		// holds the static mesh.
 		out := s.fullTableLocked(i, st.hello.Epoch == 0)
 		if err := st.write(&transport.Message{Type: transport.MsgRoutes, Routes: out}); err != nil {
@@ -721,7 +710,7 @@ func (s *Server) resyncLocked(st *siteState) {
 	if st.hello.Epoch > s.epoch {
 		s.epoch = st.hello.Epoch
 	}
-	// A standby-takeover re-registration (Epoch > 0) already holds the
+	// A restart-takeover re-registration (Epoch > 0) already holds the
 	// mesh; a crash-rejoin (Epoch == 0) is a fresh process that needs it.
 	s.flushLocked(site, st.hello.Epoch == 0)
 }
@@ -944,13 +933,12 @@ func (s *Server) buildRoutes(f *overlay.Forest) map[int]*transport.Routes {
 	out := make(map[int]*transport.Routes, s.cfg.N)
 	for i := 0; i < s.cfg.N; i++ {
 		out[i] = &transport.Routes{
-			Site:      i,
-			Epoch:     s.epoch,
-			Shard:     s.cfg.Shard,
-			Shards:    s.cfg.Shards,
-			Directory: s.directory,
-			Peers:     s.meshPeers,
-			Forward:   nil,
+			Site:    i,
+			Epoch:   s.epoch,
+			Shard:   s.cfg.Shard,
+			Shards:  s.cfg.Shards,
+			Peers:   s.meshPeers,
+			Forward: nil,
 		}
 	}
 	f.ForEachTree(func(t *overlay.Tree) {

@@ -278,7 +278,7 @@ func uniformCost(n int, c float64) [][]float64 {
 // every flush. The script covers a brand-new tree (the source gains its
 // first forward), an unsubscribe that orphans a relayed subtree, a
 // crash-rejoin with changed subscriptions and a new address, a
-// standby-style re-registration, a duplicate-ID re-ack and a run of
+// restart-style re-registration, a duplicate-ID re-ack and a run of
 // random view changes.
 func TestIncrementalRoutesMatchFull(t *testing.T) {
 	const n = 6
@@ -349,7 +349,7 @@ func TestIncrementalRoutesMatchFull(t *testing.T) {
 						g.rejoin(t, 3, []stream.ID{sid(2, 0), sid(5, 0), s00}, "h:3-new")
 						g.check(t, "crash-rejoin")
 						g.flush(t, "after crash-rejoin")
-						// A standby-style re-registration keeping its mesh.
+						// A restart-style re-registration keeping its mesh.
 						g.resub(5, []stream.ID{sid(4, 0)}, nil)
 						g.rejoin(t, 5, []stream.ID{sid(4, 0), sid(0, 0), sid(1, 0)}, "")
 						g.check(t, "re-registration")

@@ -481,14 +481,8 @@ func (f *Forest) ForEachTree(fn func(*Tree)) {
 // NumTrees returns the number of live trees without copying.
 func (f *Forest) NumTrees() int { return f.numTrees }
 
-// InDegree returns din(RP_i).
-func (f *Forest) InDegree(node int) int { return f.din[node] }
-
 // OutDegree returns dout(RP_i).
 func (f *Forest) OutDegree(node int) int { return f.dout[node] }
-
-// PendingReservations returns m̂_i.
-func (f *Forest) PendingReservations(node int) int { return f.mhat[node] }
 
 // NumAccepted returns the number of accepted requests without copying.
 func (f *Forest) NumAccepted() int { return len(f.accepted) }

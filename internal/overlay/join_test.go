@@ -172,17 +172,17 @@ func TestFirstJoinConsumesSourceReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.PendingReservations(0) != 1 {
-		t.Fatalf("m̂[0] = %d, want 1", f.PendingReservations(0))
+	if f.mhat[0] != 1 {
+		t.Fatalf("m̂[0] = %d, want 1", f.mhat[0])
 	}
 	if res := f.Join(p.Requests[0]); res != Joined {
 		t.Fatalf("Join = %v, want Joined (reserved slot)", res)
 	}
-	if f.PendingReservations(0) != 0 {
-		t.Errorf("m̂[0] = %d after dissemination, want 0", f.PendingReservations(0))
+	if f.mhat[0] != 0 {
+		t.Errorf("m̂[0] = %d after dissemination, want 0", f.mhat[0])
 	}
-	if f.OutDegree(0) != 1 || f.InDegree(1) != 1 {
-		t.Errorf("degrees: dout(0)=%d din(1)=%d", f.OutDegree(0), f.InDegree(1))
+	if f.OutDegree(0) != 1 || f.din[1] != 1 {
+		t.Errorf("degrees: dout(0)=%d din(1)=%d", f.OutDegree(0), f.din[1])
 	}
 	if err := f.Validate(); err != nil {
 		t.Errorf("forest invalid: %v", err)

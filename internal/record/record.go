@@ -47,9 +47,10 @@ type Record struct {
 	DeliveredFraction float64 `json:"delivered_fraction"`
 	// Shards is the membership control-plane shard count of a cluster run
 	// (0 for records from tools without a control plane); Failovers counts
-	// membership shards that crashed and were recovered through standby
-	// re-registration, and FailoverRecoveryMs is the slowest such recovery
-	// observed by any RP.
+	// membership shards that crashed and were recovered by the RPs
+	// re-registering with the successor at the shard's address (a shard
+	// restarted twice counts once), and FailoverRecoveryMs is the slowest
+	// such recovery observed by any RP.
 	Shards             int     `json:"shards"`
 	Failovers          int     `json:"failovers"`
 	FailoverRecoveryMs float64 `json:"failover_recovery_ms"`

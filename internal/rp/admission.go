@@ -227,13 +227,6 @@ func (a *Admission) unbind(tenant, site int) {
 	a.mu.Unlock()
 }
 
-// Used reports the committed non-premium stream units on uplink.
-func (a *Admission) Used(uplink string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used[uplink]
-}
-
 // Capacity reports the per-uplink non-premium capacity (negative means
 // unlimited).
 func (a *Admission) Capacity() int { return a.capacity }

@@ -36,8 +36,8 @@ func TestAdmissionZeroCapacity(t *testing.T) {
 	if st[0].Rejections != 0 || st[1].Rejections != 3 || st[2].Rejections != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	if a.Used("pop") != 0 {
-		t.Fatalf("used %d on zero-capacity uplink", a.Used("pop"))
+	if a.used["pop"] != 0 {
+		t.Fatalf("used %d on zero-capacity uplink", a.used["pop"])
 	}
 }
 
@@ -69,7 +69,7 @@ func TestAdmissionPriority(t *testing.T) {
 	if adm, den = a.Admit("pop", 0, 0, workload.SLOPremium, ids(4, 5)); len(adm) != 5 || len(den) != 0 {
 		t.Fatalf("premium on full pool: admitted %d denied %d", len(adm), len(den))
 	}
-	if used := a.Used("pop"); used != 2 {
+	if used := a.used["pop"]; used != 2 {
 		t.Fatalf("used %d, want capacity 2", used)
 	}
 	// Uplinks are independent pools.
@@ -85,12 +85,12 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	first := ids(1, 3)
 	a.Admit("pop", 0, 0, workload.SLOStandard, first)
 	a.Admit("pop", 0, 0, workload.SLOStandard, first) // idempotent re-admit
-	if used := a.Used("pop"); used != 3 {
+	if used := a.used["pop"]; used != 3 {
 		t.Fatalf("used %d after re-admit, want 3", used)
 	}
 	a.Release("pop", 0, 0, first[:2])
 	a.Release("pop", 0, 0, first[:2]) // double release
-	if used := a.Used("pop"); used != 1 {
+	if used := a.used["pop"]; used != 1 {
 		t.Fatalf("used %d after release, want 1", used)
 	}
 	if st := a.Stats()[0]; st.Admitted != 1 {
@@ -98,7 +98,7 @@ func TestAdmissionReleaseIdempotent(t *testing.T) {
 	}
 	// Releasing an unbooked id (a shed-after-eviction) is a no-op.
 	a.Release("pop", 9, 9, ids(7, 2))
-	if used := a.Used("pop"); used != 1 {
+	if used := a.used["pop"]; used != 1 {
 		t.Fatalf("used %d after foreign release, want 1", used)
 	}
 }
@@ -132,7 +132,7 @@ func FuzzAdmission(f *testing.F) {
 				a.Admit(uplink, tenant, site, tenantClass(tenant), []stream.ID{id})
 			}
 			for _, u := range uplinks {
-				used := a.Used(u)
+				used := a.used[u]
 				if used < 0 {
 					t.Fatalf("op %d: uplink %s book went negative: %d", i, u, used)
 				}

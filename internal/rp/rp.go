@@ -20,13 +20,14 @@
 // the live plane reports the same disruption-latency metric as
 // sim.RunEvents.
 //
-// When a shard's control connection dies and the session directory lists
-// a successor, the node fails over: it re-registers with the next listed
-// server carrying its current desired subscription set, its last-seen
-// epoch for the shard, and its resubscribe-ID high-water mark — the
-// paper's recovery primitive (coordinator state is reconstructible from
-// the edge). The successor's full shard table (MsgRoutes) resynchronizes
-// the node and settles any resubscriptions left in flight by the crash.
+// When a shard's control connection dies the node fails over: it
+// re-registers at the shard's one address — a restarted server listens
+// where its predecessor did — carrying its current desired subscription
+// set, its last-seen epoch for the shard, and its resubscribe-ID
+// high-water mark — the paper's recovery primitive (coordinator state is
+// reconstructible from the edge). The successor's full shard table
+// (MsgRoutes) resynchronizes the node and settles any resubscriptions
+// left in flight by the crash.
 //
 // A frame is immutable wire bytes, created once: PublishTick seals each
 // captured frame in the buffer its payload was generated into, a
@@ -51,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sort"
@@ -70,12 +70,12 @@ type Config struct {
 	ListenAddr string // peer-facing listen address, e.g. "127.0.0.1:0"
 	Membership string // membership server dial address (single-shard plane)
 
-	// Directory lists the control plane's membership servers per shard:
-	// Directory[k] holds shard k's dial addresses, primary first,
-	// standbys after. nil means the single-shard plane [[Membership]].
-	// A shard with more than one address is failover-capable: the node
-	// re-registers with the next address when the control link dies.
-	Directory [][]string
+	// Directory lists the control plane's membership servers, one dial
+	// address per shard: Directory[k] is shard k's. nil means the
+	// single-shard plane [Membership]. When a shard's control link dies
+	// the node re-registers at the same address, where a restarted
+	// server listens again.
+	Directory []string
 
 	In, Out int // bandwidth limits in stream units (reported upstream)
 
@@ -175,8 +175,8 @@ type Disruption struct {
 }
 
 // FailoverEvent records one completed control-plane failover: the node
-// lost a shard's control connection, re-registered with a successor from
-// the session directory, and resynchronized its shard slice.
+// lost a shard's control connection, re-registered with the server at
+// the shard's address, and resynchronized its shard slice.
 type FailoverEvent struct {
 	// Shard is the membership shard that failed over.
 	Shard int
@@ -379,7 +379,6 @@ type Node struct {
 	// dial/reconnect state, the slot registry. The per-frame path takes
 	// it only for a frame of a stream its table snapshot does not know.
 	mu           sync.Mutex
-	dir          [][]string
 	desired      map[stream.ID]bool
 	peerConn     map[int]*peerConnState
 	inbound      map[net.Conn]struct{}
@@ -430,6 +429,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Network == nil {
 		cfg.Network = transport.TCPNetwork{DialTimeout: transport.DefaultDialTimeout}
 	}
+	if len(cfg.Directory) == 0 {
+		cfg.Directory = []string{cfg.Membership}
+	}
 	rig, err := stream.NewRig(cfg.Site, cfg.Cameras, cfg.Profile, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -449,6 +451,7 @@ func New(cfg Config) (*Node, error) {
 		ready:      make(chan struct{}),
 		backoff:    transport.Backoff{Seed: cfg.Seed + int64(cfg.Site)*7919 + 1}, // per-node jitter
 		retry:      retry,
+		shards:     len(cfg.Directory),
 		desired:    desired,
 		peerConn:   make(map[int]*peerConnState),
 		inbound:    make(map[net.Conn]struct{}),
@@ -470,8 +473,8 @@ func (n *Node) Site() int { return n.cfg.Site }
 // blocks until the initial routing tables arrive or ctx is cancelled.
 // The control connections stay open afterwards: routing updates pushed
 // by the shards are applied live until Close or ctx cancellation, and a
-// failover-capable shard whose connection dies is re-registered with its
-// successor transparently.
+// shard whose connection dies is re-registered with the server at its
+// address transparently.
 func (n *Node) Start(ctx context.Context) error {
 	ln, err := n.cfg.Network.Listen(n.cfg.ListenAddr)
 	if err != nil {
@@ -483,14 +486,6 @@ func (n *Node) Start(ctx context.Context) error {
 	// The control links exist (unconnected) before the teardown watcher
 	// does: it sweeps n.ctrls, possibly while registration is still
 	// filling the connections in.
-	dir := n.cfg.Directory
-	if len(dir) == 0 {
-		dir = [][]string{{n.cfg.Membership}}
-	}
-	n.mu.Lock()
-	n.dir = dir
-	n.mu.Unlock()
-	n.shards = len(dir)
 	n.ctrls = make([]*ctrlLink, n.shards)
 	for k := range n.ctrls {
 		n.ctrls[k] = &ctrlLink{shard: k}
@@ -527,8 +522,8 @@ func (n *Node) Start(ctx context.Context) error {
 	go n.acceptLoop()
 
 	routes := make([]*transport.Routes, n.shards)
-	for k := range dir {
-		conn, r, err := n.registerBoot(ctx, k, dir[k])
+	for k, addr := range n.cfg.Directory {
+		conn, r, err := n.register(ctx, k, addr, false, n.backoff)
 		if err != nil {
 			n.Close()
 			return err
@@ -546,40 +541,25 @@ func (n *Node) Start(ctx context.Context) error {
 	return nil
 }
 
-// registerBoot performs a shard's initial registration. A single-entry
-// directory rides the full backoff schedule against the one server. A
-// failover-capable directory is swept from the primary, with the
-// schedule's patience for each entry: a node booting mid-session (a chaos
-// rejoin) may find the primary restarted away and a later entry live.
-func (n *Node) registerBoot(ctx context.Context, shard int, addrs []string) (net.Conn, *transport.Routes, error) {
-	if len(addrs) == 1 {
-		return n.register(ctx, shard, addrs[0], false, n.backoff)
-	}
-	return n.sweep(ctx, shard, 0, len(addrs), false)
-}
-
-// sweep registers a shard with the servers its directory entry lists, in
-// turn from entry first and wrapping: one fast dial per round (a dead
-// server must not hold up the sweep to the next entry), rounds paced by
-// the shared backoff policy, every paced round counted as a retry. The
-// entry is re-read each round, and the sweep gives up after scale times
-// the policy's attempt budget, or when ctx ends.
-func (n *Node) sweep(ctx context.Context, shard, first, scale int, reregister bool) (net.Conn, *transport.Routes, error) {
+// sweep re-registers a shard at its address until a server there
+// answers with a shard table: one fast dial and handshake per round,
+// rounds paced by the shared backoff policy, every paced round counted
+// as a retry, for three times the policy's attempt budget — a restarted
+// server binds the address only once its predecessor has unwound, and
+// answers only once every site has re-registered. It gives up early
+// when the node shuts down.
+func (n *Node) sweep(shard int) (net.Conn, *transport.Routes, error) {
 	oneShot := n.backoff
 	oneShot.Attempts = -1
 	var lastErr error
-	for a := 0; a < transport.DefaultBackoffAttempts*scale; a++ {
+	for a := 0; a < transport.DefaultBackoffAttempts*3; a++ {
 		if a > 0 {
-			if err := n.backoff.Sleep(ctx, a-1); err != nil {
+			if err := n.backoff.Sleep(n.ctx, a-1); err != nil {
 				return nil, nil, err
 			}
 			n.retry.Add(1)
 		}
-		addrs := n.dirFor(shard)
-		if len(addrs) == 0 {
-			return nil, nil, fmt.Errorf("rp: site %d shard %d: empty directory entry", n.cfg.Site, shard)
-		}
-		conn, r, err := n.register(ctx, shard, addrs[(first+a)%len(addrs)], reregister, oneShot)
+		conn, r, err := n.register(n.ctx, shard, n.cfg.Directory[shard], true, oneShot)
 		if err == nil {
 			return conn, r, nil
 		}
@@ -596,7 +576,7 @@ func (n *Node) sweep(ctx context.Context, shard, first, scale int, reregister bo
 // reconstruct shard state without double-applying retried diffs. The
 // dial goes through the shared retry helper under the given policy
 // (initial registration rides the full backoff schedule; failover
-// passes a single-attempt policy and paces its own directory sweep).
+// passes a single-attempt policy and paces its own sweep).
 func (n *Node) register(ctx context.Context, shard int, addr string, reregister bool, b transport.Backoff) (net.Conn, *transport.Routes, error) {
 	// The fabric dialer honours ctx and its own timeout, so a dead
 	// membership server fails the handshake instead of hanging.
@@ -716,27 +696,15 @@ func (n *Node) installShardRoutes(routes []*transport.Routes) {
 }
 
 // controlLoop serves one shard's control connection until the node
-// shuts down: it applies pushed updates, and when the connection dies on
-// a failover-capable shard it re-registers with the next server in the
-// session directory instead of giving up.
+// shuts down: it applies pushed updates, and when the connection dies it
+// re-registers at the shard's address instead of giving up.
 func (n *Node) controlLoop(l *ctrlLink) {
 	defer n.wg.Done()
 	for {
 		conn := l.get()
 		err := n.readLoop(l.shard, conn)
 		conn.Close()
-		if n.ctx.Err() != nil {
-			return
-		}
-		if len(n.dirFor(l.shard)) < 2 {
-			// No successor to fail over to: legacy single-server
-			// semantics — surface unexpected breakage, swallow clean EOF.
-			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				n.recordErr(fmt.Errorf("rp: site %d control read: %w", n.cfg.Site, err))
-			}
-			return
-		}
-		if !n.failover(l) {
+		if n.ctx.Err() != nil || !n.failover(l, err) {
 			return
 		}
 	}
@@ -764,29 +732,17 @@ func (n *Node) readLoop(shard int, conn net.Conn) error {
 	}
 }
 
-// dirFor snapshots the session directory entry of one shard.
-func (n *Node) dirFor(shard int) []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if shard < 0 || shard >= len(n.dir) {
-		return nil
-	}
-	return n.dir[shard]
-}
-
-// failover re-registers the shard by sweeping the session directory
-// from the first standby (wrapping, so a recovered primary is also a
-// valid successor) until one server delivers a shard table, then swaps
-// the control link and resynchronizes. Each entry gets three times the
-// backoff schedule: the standby for a chaos restart may still be
-// computing its first tables while the node sweeps. Returns false when
-// the node is shutting down or every candidate failed.
-func (n *Node) failover(l *ctrlLink) bool {
+// failover re-registers the shard after its control link failed with
+// cause, then swaps the control link and resynchronizes. Returns false
+// when the node is shutting down or no server answered at the shard's
+// address.
+func (n *Node) failover(l *ctrlLink, cause error) bool {
 	detected := time.Now()
-	conn, routes, err := n.sweep(n.ctx, l.shard, 1, 3, true)
+	conn, routes, err := n.sweep(l.shard)
 	if err != nil {
 		if n.ctx.Err() == nil {
-			n.recordErr(fmt.Errorf("rp: site %d shard %d failover: no successor reachable", n.cfg.Site, l.shard))
+			n.recordErr(fmt.Errorf("rp: site %d shard %d control link lost (%v); no server answered at %s: %w",
+				n.cfg.Site, l.shard, cause, n.cfg.Directory[l.shard], err))
 		}
 		return false
 	}
@@ -966,10 +922,10 @@ func (n *Node) applySync(r *transport.Routes) {
 // full table r: the held slice is diffed against r and the difference
 // applied as a delta at r's epoch, so a sync gains, loses and reroutes
 // streams exactly as the equivalent delta would. A sync that is not
-// stale also takes r's session directory and settles resubscriptions
-// left in flight toward the shard from the synced admission state: the
-// crash may have eaten their individual acknowledgements, but the
-// re-registration carried their effect (n.mu held).
+// stale also settles resubscriptions left in flight toward the shard
+// from the synced admission state: the crash may have eaten their
+// individual acknowledgements, but the re-registration carried their
+// effect (n.mu held).
 func (n *Node) syncLocked(k int, r *transport.Routes) {
 	if r.Epoch == 0 {
 		r.Epoch = 1
@@ -991,9 +947,6 @@ func (n *Node) syncLocked(k int, r *transport.Routes) {
 	}
 	if !n.applyLocked(u) {
 		return
-	}
-	if len(r.Directory) > 0 {
-		n.dir = r.Directory
 	}
 
 	// A gain in neither set was lost in the failover window (sent after
@@ -1099,13 +1052,13 @@ func (n *Node) Resubscribe(ctx context.Context, gained, lost []stream.ID) (*Resu
 		ch chan *ResubscribeResult
 	}
 	var reqs []pending
-	cleanup := func() {
+	defer func() {
 		n.mu.Lock()
 		for _, rq := range reqs {
 			delete(n.inflight, rq.id)
 		}
 		n.mu.Unlock()
-	}
+	}()
 	for _, k := range order {
 		p := parts[k]
 		id := n.resubID.Add(1)
@@ -1116,18 +1069,11 @@ func (n *Node) Resubscribe(ctx context.Context, gained, lost []stream.ID) (*Resu
 		msg := &transport.Message{Type: transport.MsgResubscribe, Resubscribe: &transport.Resubscribe{
 			Site: n.cfg.Site, ID: id, Gained: p.gained, Lost: p.lost,
 		}}
-		if err := n.ctrls[k].write(msg); err != nil {
-			// On a failover-capable shard a failed write races the
-			// reconnect: the request stays in flight and the successor's
-			// shard sync settles it. Without a successor it is fatal.
-			if len(n.dirFor(k)) < 2 {
-				cleanup()
-				return nil, fmt.Errorf("rp: site %d resubscribe: %w", n.cfg.Site, err)
-			}
-		}
+		// A failed write races the control loop's failover: the request
+		// stays in flight and the re-registration's shard sync settles it.
+		_ = n.ctrls[k].write(msg)
 		reqs = append(reqs, pending{id: id, ch: ch})
 	}
-	defer cleanup()
 
 	out := &ResubscribeResult{}
 	for _, rq := range reqs {
@@ -1559,16 +1505,6 @@ func (n *Node) Stats() map[stream.ID]StreamStats {
 		}
 	}
 	return out
-}
-
-// StaleUpdates reports how many routing updates were dropped because
-// their epoch was not newer than the running table's slice for the
-// sending shard — reordered or replayed deltas handled deterministically
-// rather than applied.
-func (n *Node) StaleUpdates() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.staleUpdates
 }
 
 // Disruptions snapshots the per-stream first-frame-after-change records

@@ -41,7 +41,7 @@ var tcpFabric = transport.TCPFabric{DialTimeout: transport.DefaultDialTimeout}
 // their one-way latency — the paper's WAN between the sites.
 func wanFabric(cost [][]float64) *transport.VirtualNetwork {
 	return transport.NewVirtualNetwork(transport.VirtualConfig{
-		Links: transport.TenantSiteLinks([][][]float64{cost}, transport.LinkProfile{}),
+		Links: transport.TenantSiteLinks([][][]float64{cost}),
 	})
 }
 
@@ -546,7 +546,7 @@ func TestMidSessionReroute(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // drain in-flight frames
 
 	for i, node := range nodes {
-		if got := node.StaleUpdates(); got != 0 {
+		if got := staleUpdates(node); got != 0 {
 			t.Errorf("site %d dropped %d updates as stale on a healthy session", i, got)
 		}
 	}
@@ -629,8 +629,8 @@ func TestStaleRoutesUpdateDropped(t *testing.T) {
 	src := stream.ID{Site: 0, Index: 0}
 	node.installShardRoutes([]*transport.Routes{{Site: 1, Epoch: 2}})
 	node.applyUpdate(&transport.RoutesUpdate{Site: 1, Epoch: 2, AddAccepted: []stream.ID{src}})
-	if got := node.StaleUpdates(); got != 1 {
-		t.Errorf("StaleUpdates = %d, want 1", got)
+	if got := staleUpdates(node); got != 1 {
+		t.Errorf("stale updates = %d, want 1", got)
 	}
 	if node.Epoch() != 2 || node.table().streams[src].accepted {
 		t.Errorf("stale update applied: epoch %d, streams %v", node.Epoch(), node.table().streams)

@@ -19,6 +19,14 @@ func sids(pairs ...int) []stream.ID {
 	return out
 }
 
+// staleUpdates reads how many routing updates the node dropped as not
+// newer than its table's slice for the sending shard.
+func staleUpdates(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.staleUpdates
+}
+
 // tableNode returns an unstarted node for site 4 of a plane with the
 // given shard count, ready for direct table transitions.
 func tableNode(t testing.TB, shards int) *Node {
@@ -129,8 +137,8 @@ func TestShardSyncMatchesDelta(t *testing.T) {
 			n.applySync(sync(c.epoch))
 
 			if c.stale {
-				if n.StaleUpdates() != 1 || n.table() != before {
-					t.Errorf("stale sync applied: StaleUpdates %d, table replaced %v", n.StaleUpdates(), n.table() != before)
+				if staleUpdates(n) != 1 || n.table() != before {
+					t.Errorf("stale sync applied: stale updates %d, table replaced %v", staleUpdates(n), n.table() != before)
 				}
 				if len(n.inflight) != 2 || len(ch1) != 0 {
 					t.Errorf("stale sync settled requests: %d left in flight", len(n.inflight))
@@ -138,8 +146,8 @@ func TestShardSyncMatchesDelta(t *testing.T) {
 				return
 			}
 			tbl := n.table()
-			if n.StaleUpdates() != 0 || !reflect.DeepEqual(tbl.epochs, []uint64{5, 3}) || tbl.epoch != 5 {
-				t.Errorf("stale %d, epochs %v (max %d), want 0, [5 3] (max 5)", n.StaleUpdates(), tbl.epochs, tbl.epoch)
+			if staleUpdates(n) != 0 || !reflect.DeepEqual(tbl.epochs, []uint64{5, 3}) || tbl.epoch != 5 {
+				t.Errorf("stale %d, epochs %v (max %d), want 0, [5 3] (max 5)", staleUpdates(n), tbl.epochs, tbl.epoch)
 			}
 			for id, sr := range before.streams {
 				if id.Site%2 == 0 && tbl.streams[id] != sr {

@@ -22,7 +22,8 @@ import (
 
 // chaosRecoveryBoundMs is the stated bound on any single fault's
 // recovery: a crashed RP's rejoin must hold routes again, and a killed
-// membership shard's standby must assemble the full cluster, inside it.
+// membership shard's successor must assemble the full cluster, inside
+// it.
 // Wide enough for scheduler noise on a loaded machine, and finite —
 // which is the property under test: every injected fault must cost a
 // bounded spike, never the session.
@@ -30,7 +31,7 @@ const chaosRecoveryBoundMs = 4000
 
 // smallChaosSchedule composes all three fault families in one run:
 // an RP crash whose rejoin lands mid-storm, and a membership shard
-// restart after the fleet is whole again (a standby takeover waits for
+// restart after the fleet is whole again (a successor waits for
 // every site to re-register, so restart windows must not overlap crash
 // windows).
 const smallChaosSchedule = "300:rp-crash:rand;450:latency-storm:2:300;900:rp-rejoin:last;1250:membership-restart:0"
@@ -63,7 +64,7 @@ func runSmallChaos(t *testing.T) *ClusterResult {
 // 2-shard cluster absorbs a crash, a rejoin landing mid-storm, and a
 // membership restart. Runs in short mode and under the race detector,
 // so `make race` exercises the whole injection path: node-set swap,
-// admission release/re-admission, standby takeover chain.
+// admission release/re-admission, in-place membership restart.
 func TestRunClusterChaosScenario(t *testing.T) {
 	res := runSmallChaos(t)
 	if res.Scenario != ScenarioChaos {

@@ -2,8 +2,8 @@ package session
 
 // chaosrun.go adapts one live session to the chaos injector: a
 // chaosCluster implements chaos.Cluster over the session's node fleet,
-// membership standby chains and virtual fabric, so internal/chaos can
-// stay ignorant of the session layer. Node replacement (crash-rejoin)
+// membership servers and virtual fabric, so internal/chaos can stay
+// ignorant of the session layer. Node replacement (crash-rejoin)
 // goes through a read-write-locked node set the publisher and trace
 // applier read through, so a crash mid-tick never races a rejoin.
 
@@ -86,10 +86,10 @@ func (ns *nodeSet) all() []*rp.Node {
 }
 
 // memberServer is one membership server a live run booted — a shard
-// primary or a pre-booted standby in its takeover chain — served under
-// its own context: cancel crashes it, and done carries Serve's outcome
-// (nil once every RP has registered with it, which for a standby is the
-// takeover itself).
+// primary or the successor a membership restart booted in its place —
+// served under its own context: cancel crashes it, and done carries
+// Serve's outcome (nil once every RP has registered with it, which for
+// a successor is the takeover itself).
 type memberServer struct {
 	srv    *membership.Server
 	cancel context.CancelFunc
@@ -104,11 +104,11 @@ type chaosCluster struct {
 	// publish-sequence floor.
 	mkNode func(site int, desired []stream.ID, resubFloor, seqFloor uint64) (*rp.Node, error)
 
-	// cur[k] is shard k's live server; chains[k] the shard's remaining
-	// pre-booted standbys, consumed in order by RestartMembership.
-	srvMu  sync.Mutex
-	cur    []*memberServer
-	chains [][]*memberServer
+	// boot starts a server for shard k listening at addr (see runLive);
+	// cur[k] is shard k's live server. Only the injector's goroutine
+	// touches cur.
+	boot func(k int, addr string) (*memberServer, error)
+	cur  []*memberServer
 
 	// vnet is the virtual fabric (nil on TCP; fabric events are
 	// rejected up front in that case). west/east are the partition
@@ -174,36 +174,30 @@ func (c *chaosCluster) RejoinRP(ctx context.Context, site int) error {
 
 // RestartMembership crashes the shard's live server by cancelling its
 // context — the listener and every control connection die at once, no
-// state is handed off — and blocks until the next chain standby has
-// assembled the full cluster (its Serve returns), i.e. every RP has
-// swept the directory and re-registered.
+// state is handed off — waits for it to unwind, and boots its successor
+// on the same host at the same address, the one every RP holds. It
+// blocks until the successor has assembled the full cluster (its Serve
+// returns), i.e. every RP has re-registered.
 func (c *chaosCluster) RestartMembership(ctx context.Context, shard int) error {
-	c.srvMu.Lock()
 	if shard < 0 || shard >= len(c.cur) {
-		c.srvMu.Unlock()
 		return fmt.Errorf("chaos: membership-restart shard %d out of range", shard)
 	}
-	if len(c.chains[shard]) == 0 {
-		c.srvMu.Unlock()
-		return fmt.Errorf("chaos: shard %d has no standby left", shard)
-	}
 	victim := c.cur[shard]
-	next := c.chains[shard][0]
-	c.chains[shard] = c.chains[shard][1:]
-	c.srvMu.Unlock()
-
 	victim.cancel()
+	victim.srv.Wait()
+	next, err := c.boot(shard, victim.srv.Addr())
+	if err != nil {
+		return fmt.Errorf("chaos: shard %d restart: %w", shard, err)
+	}
+	c.cur[shard] = next
 	select {
 	case err := <-next.done:
 		if err != nil {
-			return fmt.Errorf("chaos: shard %d standby takeover: %w", shard, err)
+			return fmt.Errorf("chaos: shard %d takeover: %w", shard, err)
 		}
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	c.srvMu.Lock()
-	c.cur[shard] = next
-	c.srvMu.Unlock()
 	return nil
 }
 

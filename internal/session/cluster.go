@@ -93,15 +93,11 @@ type ClusterConfig struct {
 	// churn rate the run did not use.
 	Churn workload.ChurnProfile
 	// Fabric is the transport the cluster runs on. nil builds a virtual
-	// WAN from each tenant's cost matrix, plus Link. transport.TCPFabric
-	// runs every connection over loopback TCP, which carries no modelled
-	// latency; there Link must be zero, and fault schedules that need
-	// the virtual fabric (storms, loss bursts, partitions, link
-	// degradation) are rejected.
+	// WAN from each tenant's cost matrix. transport.TCPFabric runs every
+	// connection over loopback TCP, which carries no modelled latency;
+	// there fault schedules that need the virtual fabric (storms, loss
+	// bursts, partitions, link degradation) are rejected.
 	Fabric transport.Fabric
-	// Link adds jitter, loss and bandwidth on top of the matrix latency
-	// of every site-to-site virtual link.
-	Link transport.LinkProfile
 	// Shards partitions each tenant's membership control plane into
 	// this many servers (see transport.TenantStreamShard); 0 or 1 runs a
 	// single server.
@@ -144,9 +140,6 @@ func (c ClusterConfig) validate() error {
 	}
 	if c.Scenario == ScenarioChaos && c.ChaosSchedule == "" {
 		return fmt.Errorf("session: scenario %s requires a chaos schedule", ScenarioChaos)
-	}
-	if c.Fabric != nil && c.Link != (transport.LinkProfile{}) {
-		return fmt.Errorf("session: a link profile shapes the default virtual fabric only; drop Link or Fabric")
 	}
 	if len(c.Tenants.Classes) == 0 {
 		return nil
@@ -408,7 +401,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) 
 		}
 		fabric = transport.NewVirtualNetwork(transport.VirtualConfig{
 			Seed:  cfg.Spec.Seed,
-			Links: transport.TenantSiteLinks(costs, cfg.Link),
+			Links: transport.TenantSiteLinks(costs),
 		})
 	}
 	lives, err := runTenants(ctx, runs, fabric)

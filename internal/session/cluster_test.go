@@ -210,8 +210,8 @@ func TestVirtualClusterFlashCrowdBatched(t *testing.T) {
 
 // TestRunClusterLoopbackTCP runs RunCluster over loopback TCP: steady
 // churn at 4 sites, and the failover preset with 2 shards, complete
-// over the kernel's network; a link profile, and a schedule that needs
-// the virtual fabric, are rejected by name.
+// over the kernel's network; a schedule that needs the virtual fabric
+// is rejected by name.
 func TestRunClusterLoopbackTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -244,19 +244,10 @@ func TestRunClusterLoopbackTCP(t *testing.T) {
 		t.Fatalf("failovers = %d, want exactly the killed shard", res.Live.Failovers)
 	}
 
-	for _, tc := range []struct {
-		name string
-		edit func(*ClusterConfig)
-		want string
-	}{
-		{"link profile", func(c *ClusterConfig) { c.Link.JitterMs = 2 }, "Link"},
-		{"partition", func(c *ClusterConfig) { c.Scenario = ScenarioPartition }, "requires the virtual fabric"},
-	} {
-		cfg := base
-		tc.edit(&cfg)
-		if _, err := RunCluster(ctx, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s on TCP: err %v, want one naming %q", tc.name, err, tc.want)
-		}
+	part := base
+	part.Scenario = ScenarioPartition
+	if _, err := RunCluster(ctx, part); err == nil || !strings.Contains(err.Error(), "requires the virtual fabric") {
+		t.Errorf("partition on TCP: err %v, want one naming %q", err, "requires the virtual fabric")
 	}
 }
 

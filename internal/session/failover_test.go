@@ -3,8 +3,8 @@ package session
 // failover_test.go exercises the sharded membership control plane
 // through the cluster driver: a sharded steady-state run must keep
 // live-vs-sim parity (sharding is transparent when nothing fails), and
-// killing one shard's primary mid-churn must resolve to a bounded
-// disruption spike through standby re-registration.
+// killing one shard's server mid-churn must resolve to a bounded
+// disruption spike through re-registration with its successor.
 
 import (
 	"context"
@@ -19,16 +19,16 @@ import (
 
 // failoverDisruptionBoundMs is the stated bound on the worst per-event
 // disruption latency through a mid-churn membership failover: detection
-// of the dead control link, standby re-registration, shard resync and
-// the re-routed first frame must all complete inside it. It is wide
-// enough for scheduler noise on a loaded test machine, and finite —
-// which is the property under test: a crash must cost a spike, not the
-// session.
+// of the dead control link, re-registration at the shard's address,
+// shard resync and the re-routed first frame must all complete inside
+// it. It is wide enough for scheduler noise on a loaded test machine,
+// and finite — which is the property under test: a crash must cost a
+// spike, not the session.
 const failoverDisruptionBoundMs = 2500
 
 // TestRunClusterFailoverScenario is the small always-on drill: a
-// 10-site, 2-shard cluster loses shard 1's primary mid-flash-crowd and
-// every RP must recover through the standby. Runs in short mode and
+// 10-site, 2-shard cluster loses shard 1's server mid-flash-crowd and
+// every RP must recover through its successor. Runs in short mode and
 // under the race detector, so `make race` exercises the whole failover
 // path.
 func TestRunClusterFailoverScenario(t *testing.T) {
@@ -81,8 +81,8 @@ func TestRunClusterFailoverScenario(t *testing.T) {
 
 // TestRunClusterFailoverComposesWithChaosRestart runs the failover
 // preset together with a caller-scheduled restart of the same shard:
-// the two restarts join one schedule, consume the shard's two-standby
-// chain in order, and the cluster recovers twice.
+// the two restarts join one schedule, each boots a successor at the
+// shard's address, and the cluster recovers twice.
 func TestRunClusterFailoverComposesWithChaosRestart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

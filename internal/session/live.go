@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/tele3d/tele3d/internal/chaos"
@@ -87,9 +88,9 @@ type LiveConfig struct {
 	Uplinks []string
 	// Chaos, when non-empty, is the resolved fault schedule injected on
 	// the session clock (see internal/chaos) — the run's only source of
-	// faults: RP crashes and rejoins, membership restarts through
-	// pre-booted standby chains, fabric storms, loss bursts, partitions
-	// and per-site link degradation. The schedule must be resolved (no
+	// faults: RP crashes and rejoins, membership restarts (a successor
+	// re-listens at the shard's address), fabric storms, loss bursts,
+	// partitions and per-site link degradation. The schedule must be resolved (no
 	// symbolic targets), and fabric events require a virtual fabric.
 	Chaos chaos.Schedule
 }
@@ -167,9 +168,9 @@ type LiveResult struct {
 	Retries int64
 	// Phases sums the per-phase maintenance timings — forest
 	// construction, batched churn application, route rebuilds — across
-	// every membership server the run booted (shard primaries and their
-	// standby chains). Wall-clock observability, not part of any
-	// determinism contract.
+	// every membership server the run booted (shard primaries and the
+	// successors of membership restarts). Wall-clock observability, not
+	// part of any determinism contract.
 	Phases membership.PhaseStats
 }
 
@@ -268,22 +269,49 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 		}
 	}
 
+	// One retry counter is shared by every node the run ever boots
+	// (including chaos rejoins), so the result's retry total covers all
+	// dial paths.
+	retry := &transport.RetryStats{}
+	ns := newNodeSet(n)
+	var srvMu sync.Mutex // guards servers: a membership restart boots mid-run
+	var servers []*memberServer
+	defer func() {
+		cancel()
+		for _, node := range ns.all() {
+			node.Close()
+		}
+		// boot refuses once ctx is cancelled, so this list is final.
+		srvMu.Lock()
+		booted := servers
+		srvMu.Unlock()
+		for _, sv := range booted {
+			sv.srv.Wait()
+		}
+	}()
+
 	// Every shard server receives the full registration workload and
 	// constructs the identical forest (same seed, same algorithm), but
 	// owns — applies diffs to, pushes deltas for — only its slice of the
 	// stream space, so the union of shard directives equals the
-	// single-server table. Each scheduled membership restart consumes a
-	// pre-booted standby from its shard's chain: every chain server is
-	// listed in the shard's directory (in takeover order) and starts
-	// listening now, so a restart is purely the RPs' re-registration
-	// sweep finding the next live entry.
-	directory := make([][]string, shards)
-	var servers []*memberServer
-	boot := func(k int, host string) (*memberServer, error) {
+	// single-server table. boot starts shard k's server on the shard's
+	// host, listening at listen: "" for a fresh address, or a restarted
+	// server's predecessor's address, which every RP already holds. Each
+	// server runs under its own context: cancelling it is the one way a
+	// server crashes. Serve returns once every RP has registered with the
+	// server — for a primary the assembled session, for a restart's
+	// successor the takeover RestartMembership blocks on.
+	boot := func(k int, listen string) (*memberServer, error) {
+		srvMu.Lock()
+		defer srvMu.Unlock()
+		if err := ctx.Err(); err != nil {
+			return nil, err // the run is tearing down
+		}
 		srv, err := membership.New(membership.Config{
 			N: n, Cost: s.Sites.Cost, Bcost: s.Problem.Bcost,
 			Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-			Network:         fabric.Host(host),
+			ListenAddr:      listen,
+			Network:         fabric.Host(transport.TenantShardServerHost(cfg.Tenant, k)),
 			Shards:          shards,
 			Shard:           k,
 			FlushIntervalMs: cfg.FlushIntervalMs,
@@ -292,45 +320,24 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 		if err != nil {
 			return nil, err
 		}
-		directory[k] = append(directory[k], srv.Addr())
-		sv := &memberServer{srv: srv, done: make(chan error, 1)}
+		srvCtx, srvCancel := context.WithCancel(ctx)
+		sv := &memberServer{srv: srv, cancel: srvCancel, done: make(chan error, 1)}
 		servers = append(servers, sv)
+		go func() { sv.done <- srv.Serve(srvCtx) }()
 		return sv, nil
 	}
 	primaries := make([]*memberServer, shards)
+	directory := make([]string, shards)
 	for k := range primaries {
 		var err error
-		if primaries[k], err = boot(k, transport.TenantShardServerHost(cfg.Tenant, k)); err != nil {
+		if primaries[k], err = boot(k, ""); err != nil {
 			return nil, err
 		}
-	}
-	chains := make([][]*memberServer, shards)
-	for k, cnt := range cfg.Chaos.RestartsPerShard(shards) {
-		for j := 0; j < cnt; j++ {
-			sv, err := boot(k, transport.TenantChaosStandbyHost(cfg.Tenant, k, j))
-			if err != nil {
-				return nil, err
-			}
-			chains[k] = append(chains[k], sv)
-		}
-	}
-	// Each server runs under its own context: cancelling it is the one
-	// way a server crashes. Serve returns once every RP has registered
-	// with the server — for a primary the assembled session, for a chain
-	// standby the takeover RestartMembership blocks on.
-	for _, sv := range servers {
-		sv.srv.SetDirectory(directory)
-		srvCtx, srvCancel := context.WithCancel(ctx)
-		sv.cancel = srvCancel
-		go func() { sv.done <- sv.srv.Serve(srvCtx) }()
+		directory[k] = primaries[k].srv.Addr()
 	}
 
-	// One retry counter is shared by every node the run ever boots
-	// (including chaos rejoins), so the result's retry total covers all
-	// dial paths; mkNode is the single constructor both the initial
-	// fleet and crash-rejoin replacements go through.
-	retry := &transport.RetryStats{}
-	ns := newNodeSet(n)
+	// mkNode is the single constructor both the initial fleet and
+	// crash-rejoin replacements go through.
 	mkNode := func(i int, subs []stream.ID, resubFloor, seqFloor uint64) (*rp.Node, error) {
 		var uplink string
 		if i < len(cfg.Uplinks) {
@@ -353,15 +360,6 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 			SeqFloor:       seqFloor,
 		})
 	}
-	defer func() {
-		cancel()
-		for _, node := range ns.all() {
-			node.Close()
-		}
-		for _, sv := range servers {
-			sv.srv.Wait()
-		}
-	}()
 	startErrs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		node, err := mkNode(i, s.Workload.Subs[i], 0, 0)
@@ -399,8 +397,8 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 		ctl := &chaosCluster{
 			ns:     ns,
 			mkNode: mkNode,
+			boot:   boot,
 			cur:    primaries,
-			chains: chains,
 			vnet:   vnet,
 			tenant: cfg.Tenant,
 		}
@@ -598,11 +596,13 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 	res.ChaosEvents = len(chaosOuts)
 	res.ChaosRecoveryMs = chaos.MaxRecoveryMs(chaosOuts)
 	res.Retries = retry.Total()
+	srvMu.Lock()
 	for _, sv := range servers {
 		ph := sv.srv.PhaseStats()
 		res.Phases.ConstructMs += ph.ConstructMs
 		res.Phases.BatchApplyMs += ph.BatchApplyMs
 		res.Phases.RouteRebuildMs += ph.RouteRebuildMs
 	}
+	srvMu.Unlock()
 	return res, nil
 }

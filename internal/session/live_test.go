@@ -112,7 +112,7 @@ func TestLiveChurnVirtualFabric(t *testing.T) {
 	}
 	fabric := transport.NewVirtualNetwork(transport.VirtualConfig{
 		Seed:  spec.Seed,
-		Links: transport.TenantSiteLinks([][][]float64{s.Sites.Cost}, transport.LinkProfile{}),
+		Links: transport.TenantSiteLinks([][][]float64{s.Sites.Cost}),
 	})
 	trace, err := s.ChurnTrace(workload.ChurnProfile{RatePerSec: 3, ViewChangeMix: 0.7}, cfg.DurationMs, rand.New(rand.NewSource(5)))
 	if err != nil {

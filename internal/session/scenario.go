@@ -41,9 +41,10 @@ const (
 	// latency, added loss) for the middle half of the session.
 	ScenarioSlowLinks = "slow-links"
 	// ScenarioFailover runs flash-crowd churn and restarts one membership
-	// shard in the middle of the burst: every RP loses the
-	// shard's control connection and recovers through standby
-	// re-registration — the chaos drill for the sharded control plane.
+	// shard in the middle of the burst: every RP loses the shard's
+	// control connection and re-registers with the successor listening
+	// at the same address — the chaos drill for the sharded control
+	// plane.
 	ScenarioFailover = "failover"
 	// ScenarioChaos runs the configured churn while a declarative fault
 	// schedule (ClusterConfig.ChaosSchedule, see internal/chaos) is
@@ -112,7 +113,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:    ScenarioFailover,
-			Summary: "one membership shard's primary is killed mid-flash-crowd; RPs recover via standby re-registration",
+			Summary: "one membership shard's server is killed mid-flash-crowd; RPs re-register with its successor at the same address",
 			plan:    planFailover,
 		},
 		{
@@ -210,8 +211,8 @@ func splitByLongitudeTenant(s *Session, tenant int) (west, east []string) {
 // into [0.2, 0.4) of the session) and schedules a membership restart at
 // 0.3 of the session — the middle of the burst, so recovery happens
 // under control-plane load. With a sharded plane the victim is shard 1
-// (shard 0 keeps the legacy server name); a single-shard plane drills
-// its only server against the standby.
+// (shard 0 keeps the legacy server name); a single-shard plane restarts
+// its only server.
 func planFailover(s *Session, cfg ClusterConfig, rng *rand.Rand) (ScenarioPlan, error) {
 	plan, err := planFlashCrowd(s, cfg, rng)
 	if err != nil {

@@ -96,14 +96,6 @@ func (r *Rig) Site() int { return r.site }
 // NumCameras returns the camera count.
 func (r *Rig) NumCameras() int { return len(r.generators) }
 
-// Camera returns the generator for the camera with the given local index.
-func (r *Rig) Camera(index int) (*Generator, error) {
-	if index < 0 || index >= len(r.generators) {
-		return nil, fmt.Errorf("stream: site %d has no camera %d", r.site, index)
-	}
-	return r.generators[index], nil
-}
-
 // Streams lists the IDs of all streams the rig produces, in index order.
 func (r *Rig) Streams() []ID {
 	out := make([]ID, len(r.generators))

@@ -163,14 +163,8 @@ func TestRig(t *testing.T) {
 			t.Errorf("frame %d = %v seq %d", q, f.Stream, f.Seq)
 		}
 	}
-	if _, err := r.Camera(8); err == nil {
-		t.Error("out-of-range camera accepted")
-	}
-	if _, err := r.Camera(-1); err == nil {
-		t.Error("negative camera accepted")
-	}
-	if g, err := r.Camera(3); err != nil || g.ID().Index != 3 {
-		t.Errorf("Camera(3) = %v, %v", g, err)
+	if g := r.generators[3]; g.ID().Index != 3 {
+		t.Errorf("camera 3 generator has stream %v", g.ID())
 	}
 }
 

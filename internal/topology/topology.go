@@ -81,9 +81,6 @@ func (g *Graph) valid(id NodeID) bool { return id >= 0 && int(id) < len(g.nodes)
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) (Node, error) {
 	if !g.valid(id) {
@@ -105,9 +102,6 @@ func (g *Graph) Edges() []Edge {
 	copy(out, g.edges)
 	return out
 }
-
-// Degree returns the number of links at the node.
-func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
 
 // ShortestPaths runs Dijkstra from src and returns the cost to every node.
 // Unreachable nodes get +Inf.

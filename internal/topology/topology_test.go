@@ -27,7 +27,7 @@ func TestBackboneBasics(t *testing.T) {
 		t.Fatal("backbone must be connected")
 	}
 	for _, n := range g.Nodes() {
-		if g.Degree(n.ID) < 1 {
+		if len(g.adj[n.ID]) < 1 {
 			t.Errorf("node %s has degree 0", n.City.Name)
 		}
 	}
@@ -52,8 +52,8 @@ func TestAddEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(a, b, 5); err != nil {
 		t.Errorf("valid edge rejected: %v", err)
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
+	if len(g.edges) != 1 {
+		t.Errorf("%d edges, want 1", len(g.edges))
 	}
 }
 

@@ -90,18 +90,6 @@ func TenantShardServerHost(t, k int) string {
 	return fmt.Sprintf("t%d-%s", t, ShardServerHost(k))
 }
 
-// TenantChaosStandbyHost returns the fabric host name of the idx-th
-// standby in tenant t's shard-k takeover chain
-// ("membership-standby-<k>-c<idx>", "t<t>-"-prefixed for t > 0). Every
-// scheduled membership restart consumes one such standby.
-func TenantChaosStandbyHost(t, k, idx int) string {
-	host := fmt.Sprintf("%s-standby-%d-c%d", ServerHost, k, idx)
-	if t == 0 {
-		return host
-	}
-	return fmt.Sprintf("t%d-%s", t, host)
-}
-
 // TenantSiteHost returns the fabric host name of tenant t's site-i
 // rendezvous point ("t<t>-site-<i>"). Tenant 0 keeps the legacy
 // SiteHost names so a single-tenant session is byte-identical to the

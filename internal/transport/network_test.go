@@ -87,20 +87,13 @@ func TestSiteHost(t *testing.T) {
 
 // TestShardHelpers pins the shard naming and ownership conventions every
 // layer of the sharded control plane shares: shard 0 keeps the legacy
-// server host name, standbys get their own names, and stream ownership
-// partitions by originating site.
+// server host name and stream ownership partitions by originating site.
 func TestShardHelpers(t *testing.T) {
 	if got := ShardServerHost(0); got != ServerHost {
 		t.Errorf("ShardServerHost(0) = %q, want the legacy %q", got, ServerHost)
 	}
 	if got := ShardServerHost(2); got != "membership-2" {
 		t.Errorf("ShardServerHost(2) = %q", got)
-	}
-	if got := TenantChaosStandbyHost(0, 0, 0); got != "membership-standby-0-c0" {
-		t.Errorf("TenantChaosStandbyHost(0, 0, 0) = %q", got)
-	}
-	if got := TenantChaosStandbyHost(0, 3, 2); got != "membership-standby-3-c2" {
-		t.Errorf("TenantChaosStandbyHost(0, 3, 2) = %q", got)
 	}
 
 	id := stream.ID{Site: 7, Index: 2}
@@ -150,9 +143,6 @@ func TestTenantHelpers(t *testing.T) {
 	}
 	if got := TenantShardServerHost(2, 1); got != "t2-membership-1" {
 		t.Errorf("TenantShardServerHost(2, 1) = %q", got)
-	}
-	if got := TenantChaosStandbyHost(2, 1, 0); got != "t2-membership-standby-1-c0" {
-		t.Errorf("TenantChaosStandbyHost(2, 1, 0) = %q", got)
 	}
 	// Host names must be unique across (tenant, site): a shared fabric
 	// keys its listeners by name.

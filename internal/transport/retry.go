@@ -3,12 +3,12 @@ package transport
 // retry.go is the one shared retry/backoff policy for every production
 // dial in the networked plane. RP registration, control-plane failover
 // redial and peer-link (re)connection all go through DialWithRetry, so a
-// transient fault — a crashed membership shard mid-takeover, a peer RP
-// riding out a crash/rejoin window, a storm-degraded control link — is
-// ridden out with bounded, jittered exponential backoff instead of
-// failing the session on the first refused connection. A test in
-// retry_test.go pins that no production package dials around this
-// helper.
+// transient fault — a restarted membership shard whose successor has not
+// yet re-bound its address, a peer RP riding out a crash/rejoin window,
+// a storm-degraded control link — is ridden out with bounded, jittered
+// exponential backoff instead of failing the session on the first
+// refused connection. A test in retry_test.go pins that no production
+// package dials around this helper.
 
 import (
 	"context"
@@ -21,7 +21,7 @@ import (
 // Default backoff parameters. The schedule 25, 50, 100, 200, 400, 800,
 // 1000, 1000 ms (±20% jitter) totals ~3.6s across the default 8
 // attempts: long enough to ride out an RP crash/rejoin window or a
-// standby takeover, short enough that a permanently dead peer surfaces
+// membership restart, short enough that a permanently dead peer surfaces
 // as an error while the session is still watching.
 const (
 	// DefaultBackoffBase is the delay before the first retry.
@@ -36,72 +36,47 @@ const (
 	DefaultBackoffJitter = 0.2
 )
 
-// Backoff is a capped, jittered exponential backoff policy. The zero
-// value means the package defaults; set a field to override just it
-// (Attempts < 0 means exactly one attempt, i.e. no retries).
+// Backoff is the capped, jittered exponential backoff policy: delays
+// start at DefaultBackoffBase, double per attempt up to
+// DefaultBackoffMax, and carry ±DefaultBackoffJitter of seeded jitter.
+// The zero value is the package default.
 type Backoff struct {
-	// Base is the delay before the first retry; it doubles per attempt.
-	Base time.Duration
-	// Max caps the per-retry delay.
-	Max time.Duration
 	// Attempts is the total number of tries. 0 means
 	// DefaultBackoffAttempts; negative means a single attempt.
 	Attempts int
-	// Jitter is the ± fraction of each delay drawn uniformly at random.
-	// 0 means DefaultBackoffJitter; negative means no jitter.
-	Jitter float64
 	// Seed drives the jitter draws deterministically. 0 means 1.
 	Seed int64
 }
 
-// withDefaults resolves zero fields to the package defaults.
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = DefaultBackoffBase
+// attempts resolves the policy's attempt budget.
+func (b Backoff) attempts() int {
+	switch {
+	case b.Attempts == 0:
+		return DefaultBackoffAttempts
+	case b.Attempts < 0:
+		return 1
 	}
-	if b.Max <= 0 {
-		b.Max = DefaultBackoffMax
-	}
-	if b.Attempts == 0 {
-		b.Attempts = DefaultBackoffAttempts
-	}
-	if b.Attempts < 0 {
-		b.Attempts = 1
-	}
-	if b.Jitter == 0 {
-		b.Jitter = DefaultBackoffJitter
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
-	}
-	if b.Seed == 0 {
-		b.Seed = 1
-	}
-	return b
+	return b.Attempts
 }
 
 // Delay returns the backoff delay after failed attempt number `attempt`
-// (0-based): Base doubled per attempt, capped at Max, with the policy's
-// jitter applied deterministically from Seed and the attempt number —
-// the same Backoff value always produces the same schedule.
+// (0-based): DefaultBackoffBase doubled per attempt, capped at
+// DefaultBackoffMax, with the jitter drawn deterministically from Seed
+// and the attempt number — the same Backoff value always produces the
+// same schedule.
 func (b Backoff) Delay(attempt int) time.Duration {
-	b = b.withDefaults()
-	d := b.Base
-	for i := 0; i < attempt && d < b.Max; i++ {
+	d := DefaultBackoffBase
+	for i := 0; i < attempt && d < DefaultBackoffMax; i++ {
 		d *= 2
 	}
-	if d > b.Max {
-		d = b.Max
+	d = min(d, DefaultBackoffMax)
+	seed := b.Seed
+	if seed == 0 {
+		seed = 1
 	}
-	if b.Jitter > 0 {
-		rng := prng(b.Seed+int64(attempt))*2 + 1
-		frac := rng.float64()*2 - 1 // uniform in [-1, 1)
-		d += time.Duration(frac * b.Jitter * float64(d))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	rng := prng(seed+int64(attempt))*2 + 1
+	frac := rng.float64()*2 - 1 // uniform in [-1, 1)
+	return d + time.Duration(frac*DefaultBackoffJitter*float64(d))
 }
 
 // Sleep blocks for the backoff delay after failed attempt `attempt`,
@@ -146,9 +121,9 @@ func (s *RetryStats) Total() int64 {
 // with the attempt count), or the context is cancelled. Each retry —
 // never the first attempt — is counted into stats (nil is allowed).
 func DialWithRetry(ctx context.Context, nw Network, addr string, b Backoff, stats *RetryStats) (net.Conn, error) {
-	b = b.withDefaults()
+	attempts := b.attempts()
 	var lastErr error
-	for attempt := 0; attempt < b.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if err := b.Sleep(ctx, attempt-1); err != nil {
 				return nil, err
@@ -164,8 +139,8 @@ func DialWithRetry(ctx context.Context, nw Network, addr string, b Backoff, stat
 			return nil, err
 		}
 	}
-	if b.Attempts == 1 {
+	if attempts == 1 {
 		return nil, lastErr
 	}
-	return nil, fmt.Errorf("dial %s: %d attempts exhausted: %w", addr, b.Attempts, lastErr)
+	return nil, fmt.Errorf("dial %s: %d attempts exhausted: %w", addr, attempts, lastErr)
 }

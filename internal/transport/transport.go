@@ -154,11 +154,6 @@ type Routes struct {
 	// space; 0/1 (or 0/0, legacy) means the whole forest.
 	Shard  int `json:"shard,omitempty"`
 	Shards int `json:"shards,omitempty"`
-	// Directory is the replicated session directory: Directory[k] lists
-	// the dial addresses of shard k's membership servers, primary first,
-	// standbys after. RPs use it to discover shard ownership and to fail
-	// over to a successor when a shard's control connection dies.
-	Directory [][]string `json:"directory,omitempty"`
 	// Peers maps site index to its RP dial address.
 	Peers map[int]string `json:"peers"`
 	// Forward lists forwarding duties for streams this RP sources or

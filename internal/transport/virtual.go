@@ -78,14 +78,14 @@ type VirtualConfig struct {
 // TenantSiteLinks returns a link-profile function driven by per-tenant
 // pairwise cost matrices: costs[t] is tenant t's matrix, and the link
 // between TenantSiteHost(t, i) and TenantSiteHost(t, j) carries
-// costs[t][i][j] milliseconds of one-way latency plus the base
-// profile's jitter, loss and bandwidth. Tenant 0 keeps the plain
-// SiteHost names, so a single-tenant fabric passes one matrix. Links
+// costs[t][i][j] milliseconds of one-way latency and no jitter, loss or
+// bandwidth limit. Tenant 0 keeps the plain SiteHost names, so a
+// single-tenant fabric passes one matrix. Links
 // between hosts of different tenants are perfect — tenants never
 // exchange frames, so those links carry nothing — and so are links to
 // or from any other host (the membership servers in particular),
 // modelling an out-of-band control plane the way the simulator does.
-func TenantSiteLinks(costs [][][]float64, base LinkProfile) func(from, to string) LinkProfile {
+func TenantSiteLinks(costs [][][]float64) func(from, to string) LinkProfile {
 	return func(from, to string) LinkProfile {
 		ta, i, okFrom := tenantSiteIndex(from)
 		tb, j, okTo := tenantSiteIndex(to)
@@ -96,9 +96,7 @@ func TenantSiteLinks(costs [][][]float64, base LinkProfile) func(from, to string
 		if i >= len(cost) || j >= len(cost) {
 			return LinkProfile{}
 		}
-		p := base
-		p.LatencyMs = cost[i][j]
-		return p
+		return LinkProfile{LatencyMs: cost[i][j]}
 	}
 }
 
@@ -361,18 +359,26 @@ type VirtualHost struct {
 // Name returns the host's fabric name.
 func (h *VirtualHost) Name() string { return h.name }
 
-// Listen opens a listener on a fabric-assigned unique address
-// ("vnet://<host>/<n>"); the requested addr is ignored, mirroring how
-// ":0" asks the kernel for an ephemeral port.
-func (h *VirtualHost) Listen(string) (net.Listener, error) {
+// Listen opens a listener. A request for one of this host's own
+// addresses that the fabric handed out before ("vnet://<host>/<n>") is
+// honoured while it is free, the way TCP rebinds a closed port, so a
+// restarted server is found where its predecessor was; it fails with
+// "address in use" while another listener holds it. Any other request
+// gets a fresh unique address, mirroring how ":0" asks the kernel for an
+// ephemeral port.
+func (h *VirtualHost) Listen(addr string) (net.Listener, error) {
 	v := h.net
 	v.mu.Lock()
-	v.addrSeq++
-	addr := fmt.Sprintf("vnet://%s/%d", h.name, v.addrSeq)
+	defer v.mu.Unlock()
+	if n, err := strconv.Atoi(strings.TrimPrefix(addr, "vnet://"+h.name+"/")); err != nil || n < 1 || n > v.addrSeq {
+		v.addrSeq++
+		addr = fmt.Sprintf("vnet://%s/%d", h.name, v.addrSeq)
+	} else if _, busy := v.listeners[addr]; busy {
+		return nil, fmt.Errorf("vnet: listen %s: address in use", addr)
+	}
 	ln := &virtualListener{net: v, host: h.name, addr: addr}
 	ln.cond = sync.NewCond(&ln.mu)
 	v.listeners[addr] = ln
-	v.mu.Unlock()
 	return ln, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +257,66 @@ func TestVirtualDialRefused(t *testing.T) {
 	cancel()
 	if _, err := v.Host("a").DialContext(ctx, "anything"); err == nil {
 		t.Fatal("dial with cancelled context succeeded")
+	}
+}
+
+// TestVirtualListenReusesOwnAddress pins the rebind rule a restarted
+// server relies on: a host gets back its own freed address, and a dial
+// there reaches the new listener; a held address is refused; every other
+// request gets a fresh unique address.
+func TestVirtualListenReusesOwnAddress(t *testing.T) {
+	v := NewVirtualNetwork(VirtualConfig{Seed: 10})
+	h := v.Host("m")
+	first, err := h.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := first.Addr().String()
+	if _, err := h.Listen(addr); err == nil || !strings.Contains(err.Error(), "address in use") {
+		t.Fatalf("listen on a held address: err %v, want address in use", err)
+	}
+	first.Close()
+	again, err := h.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := again.Addr().String(); got != addr {
+		t.Fatalf("rebind got %q, want the freed %q", got, addr)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := again.Accept()
+		accepted <- c
+	}()
+	c, err := v.Host("site-0").DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatalf("dial the rebound address: %v", err)
+	}
+	c.Close()
+	if a := <-accepted; a == nil {
+		t.Fatal("the rebound listener accepted nothing")
+	} else {
+		a.Close()
+	}
+
+	other, err := v.Host("n").Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	seen := map[string]bool{addr: true, other.Addr().String(): true}
+	for _, req := range []string{other.Addr().String(), "127.0.0.1:0", ""} {
+		ln, err := h.Listen(req)
+		if err != nil {
+			t.Fatalf("listen %q: %v", req, err)
+		}
+		defer ln.Close()
+		got := ln.Addr().String()
+		if seen[got] || !strings.HasPrefix(got, "vnet://m/") {
+			t.Fatalf("listen %q got %q, want a fresh address of host m", req, got)
+		}
+		seen[got] = true
 	}
 }
 
@@ -513,12 +574,12 @@ func TestVirtualReadDeadline(t *testing.T) {
 }
 
 // TestSiteLinks checks the single-tenant fabric, one cost matrix with
-// plain site names: site pairs get the matrix latency plus the base
-// profile, and server, self and out-of-range links are perfect.
+// plain site names: site pairs get the matrix latency and nothing else,
+// and server, self and out-of-range links are perfect.
 func TestSiteLinks(t *testing.T) {
 	cost := [][]float64{{0, 40}, {40, 0}}
-	links := TenantSiteLinks([][][]float64{cost}, LinkProfile{JitterMs: 2, Loss: 0.01})
-	if p := links(SiteHost(0), SiteHost(1)); p.LatencyMs != 40 || p.JitterMs != 2 || p.Loss != 0.01 {
+	links := TenantSiteLinks([][][]float64{cost})
+	if p := links(SiteHost(0), SiteHost(1)); p != (LinkProfile{LatencyMs: 40}) {
 		t.Fatalf("site link profile %+v", p)
 	}
 	if p := links(ServerHost, SiteHost(1)); p != (LinkProfile{}) {
@@ -541,11 +602,11 @@ func TestTenantSiteLinks(t *testing.T) {
 		{{0, 40}, {40, 0}},
 		{{0, 90}, {90, 0}},
 	}
-	links := TenantSiteLinks(costs, LinkProfile{JitterMs: 2, Loss: 0.01})
-	if p := links(TenantSiteHost(0, 0), TenantSiteHost(0, 1)); p.LatencyMs != 40 || p.JitterMs != 2 {
+	links := TenantSiteLinks(costs)
+	if p := links(TenantSiteHost(0, 0), TenantSiteHost(0, 1)); p.LatencyMs != 40 {
 		t.Fatalf("tenant 0 link profile %+v", p)
 	}
-	if p := links(TenantSiteHost(1, 0), TenantSiteHost(1, 1)); p.LatencyMs != 90 || p.Loss != 0.01 {
+	if p := links(TenantSiteHost(1, 0), TenantSiteHost(1, 1)); p.LatencyMs != 90 {
 		t.Fatalf("tenant 1 link profile %+v", p)
 	}
 	if p := links(TenantSiteHost(0, 0), TenantSiteHost(1, 1)); p != (LinkProfile{}) {
@@ -774,7 +835,7 @@ func TestVirtualStormIntensityImpairments(t *testing.T) {
 // restores it, without touching per-pair overrides.
 func TestVirtualStormDegradesAllLinks(t *testing.T) {
 	cost := [][]float64{{0, 10}, {10, 0}}
-	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost}, LinkProfile{})})
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost})})
 	if got := v.profileFor("site-0", "site-1").LatencyMs; got != 10 {
 		t.Fatalf("base latency = %v, want 10", got)
 	}
@@ -808,9 +869,8 @@ func TestVirtualStormDegradesAllLinks(t *testing.T) {
 // scaled from it never compounds on another one.
 func TestVirtualStaticLinkProfileIgnoresImpairments(t *testing.T) {
 	cost := [][]float64{{0, 10}, {10, 0}}
-	base := LinkProfile{JitterMs: 1, Loss: 0.01}
-	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost}, base)})
-	want := LinkProfile{LatencyMs: 10, JitterMs: 1, Loss: 0.01}
+	v := NewVirtualNetwork(VirtualConfig{Seed: 1, Links: TenantSiteLinks([][][]float64{cost})})
+	want := LinkProfile{LatencyMs: 10}
 	if got := v.StaticLinkProfile("site-0", "site-1"); got != want {
 		t.Fatalf("static profile = %+v, want %+v", got, want)
 	}
