@@ -239,6 +239,10 @@ func run(opt options, out, stdout io.Writer) error {
 			SLOClass:           slo,
 			Admitted:           tn.Admitted,
 			Rejections:         tn.Rejections,
+			FramesDelivered:    tn.Live.TotalFrames,
+			FramesDropped:      tn.Live.TotalDropped,
+			FramesStale:        tn.Live.TotalStale,
+			FramesDuplicate:    tn.Live.TotalDuplicates,
 			ConstructMs:        tn.Live.Phases.ConstructMs,
 			BatchApplyMs:       tn.Live.Phases.BatchApplyMs,
 			RouteRebuildMs:     tn.Live.Phases.RouteRebuildMs,

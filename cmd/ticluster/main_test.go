@@ -87,6 +87,10 @@ func TestRunVirtualEndToEnd(t *testing.T) {
 	if rec.ElapsedMs <= 0 {
 		t.Errorf("record missing elapsed time: %+v", rec)
 	}
+	if rec.FramesDelivered <= 0 || rec.FramesDropped != 0 {
+		t.Errorf("record frame ledger: %d delivered, %d dropped; want some delivered, none dropped",
+			rec.FramesDelivered, rec.FramesDropped)
+	}
 	if rec.Tenant != 0 || rec.SLOClass != "" || rec.Admitted != 0 || rec.Rejections != 0 {
 		t.Errorf("single-tenant record carries tenant columns: %+v", rec)
 	}

@@ -30,6 +30,7 @@
 //	churn_events       mean applied churn events per sample (churn cells)
 //	disruption_mean_ms, disruption_max_ms    disruption latency (churn cells)
 //	delivered_fraction mean fraction of gained streams served before session end
+//	frames_delivered, frames_dropped, frames_stale, frames_duplicate   cluster frame ledger (0 for sweeps)
 //	construct_ms       wall-clock forest-construction total of the cell
 //	batch_apply_ms     wall-clock churn-application total (churn cells)
 //	route_rebuild_ms   routing-table rebuild total (cluster runs; 0 for sweeps)

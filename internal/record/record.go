@@ -74,6 +74,12 @@ type Record struct {
 	SLOClass   string `json:"slo_class,omitempty"`
 	Admitted   int    `json:"admitted"`
 	Rejections int    `json:"rejections"`
+	// The Frames* columns are a cluster run's frame ledger, rp.StreamStats
+	// summed over its sites (0 for sweeps).
+	FramesDelivered int `json:"frames_delivered"`
+	FramesDropped   int `json:"frames_dropped"`
+	FramesStale     int `json:"frames_stale"`
+	FramesDuplicate int `json:"frames_duplicate"`
 	// ConstructMs / BatchApplyMs / RouteRebuildMs break the run's overlay
 	// maintenance cost into its phases: initial forest construction,
 	// batched churn application, and routing-table rebuilds. Cluster runs
@@ -100,6 +106,7 @@ var CSVHeader = []string{
 	"shards", "failovers", "failover_recovery_ms",
 	"chaos_schedule", "chaos_events", "chaos_recovery_ms", "retries",
 	"tenant", "slo_class", "admitted", "rejections",
+	"frames_delivered", "frames_dropped", "frames_stale", "frames_duplicate",
 	"construct_ms", "batch_apply_ms", "route_rebuild_ms", "heap_delta_bytes",
 	"elapsed_ms",
 }
@@ -121,6 +128,7 @@ func (r Record) CSVRow() []string {
 		r.ChaosSchedule, strconv.Itoa(r.ChaosEvents), f(r.ChaosRecoveryMs),
 		strconv.FormatInt(r.Retries, 10),
 		strconv.Itoa(r.Tenant), r.SLOClass, strconv.Itoa(r.Admitted), strconv.Itoa(r.Rejections),
+		strconv.Itoa(r.FramesDelivered), strconv.Itoa(r.FramesDropped), strconv.Itoa(r.FramesStale), strconv.Itoa(r.FramesDuplicate),
 		f(r.ConstructMs), f(r.BatchApplyMs), f(r.RouteRebuildMs),
 		strconv.FormatInt(r.HeapDeltaBytes, 10),
 		strconv.FormatFloat(r.ElapsedMs, 'f', 1, 64),

@@ -61,6 +61,13 @@ func TestSchemaRoundTrip(t *testing.T) {
 		t.Fatalf("CSVHeader diverged from the struct's json tags:\n header: %v\n struct: %v", CSVHeader, tags)
 	}
 
+	// The wall-clock columns stay last: determinism checks strip them as
+	// one tail.
+	wallClock := []string{"construct_ms", "batch_apply_ms", "route_rebuild_ms", "heap_delta_bytes", "elapsed_ms"}
+	if tail := CSVHeader[len(CSVHeader)-len(wallClock):]; !reflect.DeepEqual(tail, wallClock) {
+		t.Errorf("CSV tail %v, want the wall-clock columns %v", tail, wallClock)
+	}
+
 	r := sentinelRecord(t)
 	row := r.CSVRow()
 	if len(row) != len(CSVHeader) {
@@ -142,11 +149,12 @@ func TestSinkColumnsAgree(t *testing.T) {
 			t.Errorf("column %s: unhandled JSONL type %T", name, jv)
 		}
 	}
-	// Per-tenant and chaos columns must be present by name: the tenant
-	// and chaos smoke jobs grep for them in JSONL output.
+	// Per-tenant, chaos and frame-ledger columns must be present by
+	// name: the smoke jobs grep for them in JSONL output.
 	for _, name := range []string{
 		"tenant", "slo_class", "admitted", "rejections",
 		"chaos_schedule", "chaos_events", "chaos_recovery_ms", "retries",
+		"frames_delivered", "frames_dropped", "frames_stale", "frames_duplicate",
 	} {
 		if _, ok := fromJSON[name]; !ok {
 			t.Errorf("column %s missing from JSONL output", name)

@@ -319,7 +319,7 @@ func TestPayloadIntegrityTCP(t *testing.T) { testPayloadIntegrity(t, false) }
 // duplicate across a reroute, and the locked slow path of a stream the
 // snapshot no longer knows. At a quiet moment afterwards each node's
 // counters must add up, per stream, to the frames it actually read:
-// Frames (which includes Dropped) + Stale + Duplicates.
+// Frames + Dropped + Stale + Duplicates, each frame in exactly one.
 func TestEveryReceivedFrameCountedOnce(t *testing.T) {
 	const ticks = 300
 	rt := bootRelayTree(t, true, ticks)
@@ -370,7 +370,7 @@ func TestEveryReceivedFrameCountedOnce(t *testing.T) {
 			for id, got := range read {
 				st := stats[id]
 				total += got
-				balanced = balanced && st.Frames+st.Stale+st.Duplicates == got
+				balanced = balanced && st.Frames+st.Dropped+st.Stale+st.Duplicates == got
 			}
 		}
 		settled = balanced && total == last && total > 0

@@ -88,7 +88,8 @@ type Config struct {
 	Subscriptions []stream.ID
 
 	// DeliveryBuffer bounds the local display queue; when full, the
-	// newest frame is dropped (video semantics). 0 means 256.
+	// newest frame is dropped (video semantics) and counted as Dropped:
+	// a feed nothing reads keeps its first DeliveryBuffer frames. 0 means 256.
 	DeliveryBuffer int
 
 	// Network is the transport fabric the node listens and dials on; nil
@@ -147,10 +148,10 @@ type Delivery struct {
 	LatencyMs  float64 // wall-clock capture→delivery latency
 }
 
-// StreamStats accumulates per-stream delivery statistics.
+// StreamStats counts each frame received once: in Frames, Dropped, Duplicates or Stale.
 type StreamStats struct {
-	Frames     int
-	Dropped    int // dropped at the local delivery queue
+	Frames     int // handed to the local delivery queue
+	Dropped    int // accepted, but refused by a full delivery queue
 	Duplicates int // second copies discarded by the sequence watermark
 	Stale      int // frames of streams the site no longer accepts
 	MeanLatMs  float64
@@ -160,14 +161,14 @@ type StreamStats struct {
 
 // Disruption records the resubscription experience for one gained
 // stream: the moment the routing update that granted it took effect
-// locally, and the first frame actually delivered afterwards.
+// locally, and the first frame actually accepted afterwards.
 type Disruption struct {
 	Stream stream.ID
 	// Epoch is the routing-table version (of the stream's owning shard)
 	// that gained the stream.
 	Epoch uint64
 	// Applied is when the update took effect; FirstFrame when the first
-	// frame of the stream reached the local displays.
+	// frame of the stream was accepted for the local displays.
 	Applied    time.Time
 	FirstFrame time.Time
 	// LatencyMs is FirstFrame − Applied in milliseconds.
@@ -1441,27 +1442,28 @@ func (n *Node) receive(f *stream.Frame, msg []byte, tbl *routingTable) {
 		// The site does not (or no longer does) accept this stream: a
 		// relay-only duty, or a frame in flight across an unsubscribe.
 		st.Stale++
-	case st.Frames > 0 && f.Seq <= st.MaxSeq:
-		// Already delivered under an earlier path (e.g. the old parent
+	case st.Frames+st.Dropped > 0 && f.Seq <= st.MaxSeq:
+		// Already accepted under an earlier path (e.g. the old parent
 		// during a reroute): a receiver shows each frame at most once.
 		st.Duplicates++
 	default:
-		st.Frames++
-		st.totalLatMs += lat
-		st.MeanLatMs = st.totalLatMs / float64(st.Frames)
 		if f.Seq > st.MaxSeq {
 			st.MaxSeq = f.Seq
 		}
+		// A gain ends at its first accepted frame, whatever the display's pace.
+		if g := slot.gain; slot.gaining {
+			slot.disruptions = append(slot.disruptions, Disruption{
+				Stream: f.Stream, Epoch: g.epoch,
+				Applied: g.at, FirstFrame: now,
+				LatencyMs: float64(now.Sub(g.at)) / float64(time.Millisecond),
+			})
+			slot.gaining = false
+		}
 		select {
 		case n.deliveries <- Delivery{Frame: f, ReceivedAt: now, LatencyMs: lat}:
-			if g := slot.gain; slot.gaining {
-				slot.disruptions = append(slot.disruptions, Disruption{
-					Stream: f.Stream, Epoch: g.epoch,
-					Applied: g.at, FirstFrame: now,
-					LatencyMs: float64(now.Sub(g.at)) / float64(time.Millisecond),
-				})
-				slot.gaining = false
-			}
+			st.Frames++
+			st.totalLatMs += lat
+			st.MeanLatMs = st.totalLatMs / float64(st.Frames)
 		default:
 			st.Dropped++
 		}
@@ -1500,7 +1502,7 @@ func (n *Node) Stats() map[stream.ID]StreamStats {
 		s.mu.Lock()
 		st := s.stats
 		s.mu.Unlock()
-		if st.Frames+st.Stale+st.Duplicates > 0 {
+		if st.Frames+st.Dropped+st.Stale+st.Duplicates > 0 {
 			out[ids[i]] = st
 		}
 	}

@@ -199,13 +199,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	return c
 }
 
-// liveDeliveryBuffer bounds each RP's display queue in a live run.
-// Nothing drains the queues mid-run — disruption is measured from the
-// RPs' own first-frame records — so a queue must hold every frame its
-// site receives, or the run reports drops the plane never made: 8,192
-// frames is 18 s of 30 subscribed streams at 15 fps.
-const liveDeliveryBuffer = 8192
-
 // SimPrediction runs the event-driven simulator over the same trace and
 // the same forest the membership server will construct for this session
 // (identical workload, latency bound, algorithm and seed), producing the
@@ -274,20 +267,22 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 	// dial paths.
 	retry := &transport.RetryStats{}
 	ns := newNodeSet(n)
-	var srvMu sync.Mutex // guards servers: a membership restart boots mid-run
+	var srvMu sync.Mutex // guards servers and drains: restarts and rejoins come mid-run
 	var servers []*memberServer
+	var drains sync.WaitGroup
 	defer func() {
 		cancel()
 		for _, node := range ns.all() {
 			node.Close()
 		}
-		// boot refuses once ctx is cancelled, so this list is final.
+		// boot and mkNode refuse once ctx is cancelled, so both are final.
 		srvMu.Lock()
 		booted := servers
 		srvMu.Unlock()
 		for _, sv := range booted {
 			sv.srv.Wait()
 		}
+		drains.Wait()
 	}()
 
 	// Every shard server receives the full registration workload and
@@ -337,28 +332,48 @@ func (s *Session) runLive(ctx context.Context, cfg LiveConfig, fabric transport.
 	}
 
 	// mkNode is the single constructor both the initial fleet and
-	// crash-rejoin replacements go through.
+	// crash-rejoin replacements go through; it discards each frame the
+	// node delivers, since disruption is read from first-frame records.
 	mkNode := func(i int, subs []stream.ID, resubFloor, seqFloor uint64) (*rp.Node, error) {
 		var uplink string
 		if i < len(cfg.Uplinks) {
 			uplink = cfg.Uplinks[i]
 		}
-		return rp.New(rp.Config{
+		node, err := rp.New(rp.Config{
 			Site: i, Directory: directory,
 			In: s.Workload.Sites[i].In, Out: s.Workload.Sites[i].Out,
 			Cameras: s.Workload.Sites[i].NumStreams,
 			Profile: cfg.Profile, Seed: cfg.Seed*1000 + int64(i),
-			Subscriptions:  subs,
-			DeliveryBuffer: liveDeliveryBuffer,
-			Network:        fabric.Host(transport.TenantSiteHost(cfg.Tenant, i)),
-			Tenant:         cfg.Tenant,
-			SLO:            cfg.SLO,
-			Uplink:         uplink,
-			Admission:      cfg.Admission,
-			RetryStats:     retry,
-			ResubFloor:     resubFloor,
-			SeqFloor:       seqFloor,
+			Subscriptions: subs,
+			Network:       fabric.Host(transport.TenantSiteHost(cfg.Tenant, i)),
+			Tenant:        cfg.Tenant,
+			SLO:           cfg.SLO,
+			Uplink:        uplink,
+			Admission:     cfg.Admission,
+			RetryStats:    retry,
+			ResubFloor:    resubFloor,
+			SeqFloor:      seqFloor,
 		})
+		if err != nil {
+			return nil, err
+		}
+		srvMu.Lock()
+		defer srvMu.Unlock()
+		if err := ctx.Err(); err != nil {
+			return nil, err // the run is tearing down
+		}
+		drains.Add(1)
+		go func() {
+			defer drains.Done()
+			for {
+				select {
+				case <-node.Deliveries():
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+		return node, nil
 	}
 	startErrs := make(chan error, n)
 	for i := 0; i < n; i++ {

@@ -18,9 +18,9 @@ import (
 	"time"
 )
 
-// Default backoff parameters. The schedule 25, 50, 100, 200, 400, 800,
-// 1000, 1000 ms (±20% jitter) totals ~3.6s across the default 8
-// attempts: long enough to ride out an RP crash/rejoin window or a
+// Default backoff parameters. The default 8 attempts sleep 7 times, on
+// the schedule 25, 50, 100, 200, 400, 800, 1000 ms (±20% jitter), for
+// 2.575s ± 20% in all (TestDefaultBackoffHorizon): long enough to ride out an RP crash/rejoin window or a
 // membership restart, short enough that a permanently dead peer surfaces
 // as an error while the session is still watching.
 const (

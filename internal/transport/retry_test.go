@@ -38,6 +38,25 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	}
 }
 
+// TestDefaultBackoffHorizon pins the figure the package doc states: the
+// default policy sleeps 25+50+100+200+400+800+1000 ms = 2.575 s between
+// its 8 attempts, ±20% jitter, whatever the seed.
+func TestDefaultBackoffHorizon(t *testing.T) {
+	const horizon = 2575 * time.Millisecond
+	lo := time.Duration(float64(horizon) * (1 - DefaultBackoffJitter))
+	hi := time.Duration(float64(horizon) * (1 + DefaultBackoffJitter))
+	for seed := int64(1); seed <= 1000; seed++ {
+		b := Backoff{Seed: seed}
+		var total time.Duration
+		for attempt := 0; attempt < DefaultBackoffAttempts-1; attempt++ {
+			total += b.Delay(attempt)
+		}
+		if total < lo || total > hi {
+			t.Fatalf("seed %d: %d attempts sleep %v, outside [%v, %v]", seed, DefaultBackoffAttempts, total, lo, hi)
+		}
+	}
+}
+
 // TestBackoffDifferentSeedsDecorrelate checks the jitter actually varies
 // with the seed — retry herds after a shard kill must spread out.
 func TestBackoffDifferentSeedsDecorrelate(t *testing.T) {
